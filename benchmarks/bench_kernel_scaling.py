@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Kernel/probe scaling benchmark: events/sec across populations.
+"""Probe scaling benchmark: events/sec across populations.
 
-Measures the simulation hot path on the ``metropolis_100k`` workload at a
-range of population scales:
+Measures the object engine's hot path on the ``metropolis_100k`` workload
+at a range of population scales:
 
-* ``full_heap`` — binary heap kernel, every metric probe, message
-  accounting: the full-instrumentation path (what every run paid before
-  kernels and probe subscriptions existed);
-* ``fast_<kernel>`` — the scenario's tuned fast path (subscribed probes
-  only, no message accounting) under every registered kernel.
+* ``full_heap`` — every metric probe, message accounting: the
+  full-instrumentation path (what every run paid before probe
+  subscriptions existed);
+* ``fast_heap`` — the scenario's tuned fast path (subscribed probes
+  only, no message accounting).
+
+Both run on the binary-heap event kernel, the only one; the ``kernel`` and
+``fast_kernel`` fields of the export always read ``"heap"`` and stay in
+the schema so older exports validate unchanged.
 
 Results are printed and written to ``benchmarks/output/BENCH_kernel_scaling.json``
 (schema ``repro.bench_kernel_scaling.v1``, validated by
@@ -38,7 +42,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # script-style invocation
 
 from repro._version import __version__  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
-from repro.simulation.kernel import KERNEL_NAMES  # noqa: E402
 from repro.simulation.runner import run_simulation  # noqa: E402
 
 SCHEMA = "repro.bench_kernel_scaling.v1"
@@ -83,9 +86,7 @@ def run_bench(scales, repeats: int, quick: bool) -> dict:
     speedups = []
     for scale in scales:
         fast_config = scenario.build_config(scale=scale)
-        full_config = fast_config.replace(
-            kernel="heap", probes=None, track_messages=True
-        )
+        full_config = fast_config.replace(probes=None, track_messages=True)
         peers = fast_config.total_peers
 
         full = measure(full_config, repeats)
@@ -97,28 +98,22 @@ def run_bench(scales, repeats: int, quick: bool) -> dict:
         print(f"scale {scale:>5} ({peers} peers)  full_heap      "
               f"{full['events_per_sec']:>10,.0f} ev/s", flush=True)
 
-        fast_by_kernel = {}
-        for kernel in KERNEL_NAMES:
-            fast = measure(fast_config.replace(kernel=kernel), repeats)
-            fast_by_kernel[kernel] = fast
-            runs.append({
-                "scale": scale, "peers": peers, "mode": f"fast_{kernel}",
-                "engine": fast_config.engine, "kernel": kernel,
-                "probes": list(fast_config.probes or ()),
-                **fast,
-            })
-            print(f"scale {scale:>5} ({peers} peers)  fast_{kernel:<9} "
-                  f"{fast['events_per_sec']:>10,.0f} ev/s", flush=True)
+        fast = measure(fast_config, repeats)
+        runs.append({
+            "scale": scale, "peers": peers, "mode": "fast_heap",
+            "engine": fast_config.engine, "kernel": "heap",
+            "probes": list(fast_config.probes or ()),
+            **fast,
+        })
+        print(f"scale {scale:>5} ({peers} peers)  fast_heap      "
+              f"{fast['events_per_sec']:>10,.0f} ev/s", flush=True)
 
-        best_kernel = max(
-            fast_by_kernel, key=lambda k: fast_by_kernel[k]["events_per_sec"]
-        )
-        best = fast_by_kernel[best_kernel]["events_per_sec"]
+        best = fast["events_per_sec"]
         pre = baseline.get(scale)
         speedups.append({
             "scale": scale,
             "peers": peers,
-            "fast_kernel": best_kernel,
+            "fast_kernel": "heap",
             "events_per_sec": best,
             "speedup_vs_full_heap": round(best / full["events_per_sec"], 2),
             "speedup_vs_pre_refactor": round(best / pre, 2) if pre else None,
@@ -154,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwrote {out_path}")
     for entry in payload["speedups"]:
         vs_pre = entry["speedup_vs_pre_refactor"]
-        print(f"scale {entry['scale']:>5}: fast path ({entry['fast_kernel']}) "
+        print(f"scale {entry['scale']:>5}: fast path "
               f"{entry['events_per_sec']:,.0f} ev/s — "
               f"{entry['speedup_vs_full_heap']:.2f}x vs full/heap"
               + (f", {vs_pre:.2f}x vs pre-refactor" if vs_pre else ""))

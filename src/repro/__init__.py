@@ -60,7 +60,7 @@ from repro.orchestration.shard import (
 )
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.simulation.config import SimulationConfig
-from repro.simulation.kernel import CalendarKernel, EventKernel, HeapKernel
+from repro.simulation.engine import HeapKernel
 from repro.simulation.lifecycle import (
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
@@ -69,14 +69,9 @@ from repro.simulation.lifecycle import (
     make_lifecycle,
 )
 from repro.simulation.probes import MetricsPipeline, Probe
-from repro.simulation.runner import (
-    SimulationResult,
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import SimulationResult, run_simulation
 from repro.simulation.system import StreamingSystem
-from repro.analysis.replication import ReplicatedResult, replicate
+from repro.analysis.replication import ReplicatedResult
 from repro.analysis.experiments import run_experiment
 
 __all__ = [
@@ -112,12 +107,8 @@ __all__ = [
     "StreamingSystem",
     "SimulationResult",
     "run_simulation",
-    "compare_protocols",
-    "sweep_parameter",
-    # event kernels and metric probes
-    "EventKernel",
+    # event kernel and metric probes
     "HeapKernel",
-    "CalendarKernel",
     "MetricsPipeline",
     "Probe",
     # session-lifecycle dynamics
@@ -143,7 +134,6 @@ __all__ = [
     "merge_stores",
     "store_status",
     # replication and experiments
-    "replicate",
     "ReplicatedResult",
     "run_experiment",
 ]

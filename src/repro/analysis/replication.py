@@ -2,8 +2,9 @@
 
 A single simulation run is one draw from the protocol's stochastic
 behaviour; publishable comparisons replicate over independent seeds and
-report means with confidence intervals.  This module runs a configuration
-under ``k`` derived seeds and aggregates:
+report means with confidence intervals.  This module aggregates the runs
+of one configuration under ``k`` seeds (built with
+``Study.from_config(config).seeds(k)``):
 
 * scalar metrics (final capacity, per-class rejections/delays/waits) into
   ``mean ± half-width`` records, and
@@ -25,7 +26,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import SeriesPoint
 from repro.simulation.runner import SimulationResult
 
-__all__ = ["ScalarSummary", "SeriesEnvelope", "ReplicatedResult", "replicate"]
+__all__ = ["ScalarSummary", "SeriesEnvelope", "ReplicatedResult"]
 
 
 class ScalarSummary(Aggregate):
@@ -61,9 +62,9 @@ class ReplicatedResult:
     cache-served :class:`~repro.orchestration.study.RunRecord` objects —
     every accessor only touches the metrics interface the two share.
 
-    .. deprecated:: 1.1
-       Subsumed by :meth:`repro.orchestration.study.ResultSet.aggregate`,
-       which generalizes the mean ± CI summaries to any study axis.
+    The scalar summaries match what
+    :meth:`repro.orchestration.study.ResultSet.aggregate` computes over
+    any study axis; :meth:`capacity_envelope` has no study equivalent.
     """
 
     config: SimulationConfig
@@ -117,36 +118,3 @@ class ReplicatedResult:
             high=tuple(max(col) for col in columns),
         )
 
-
-def replicate(
-    config: SimulationConfig,
-    replications: int = 5,
-    seed_stride: int = 1,
-    jobs: int = 1,
-) -> ReplicatedResult:
-    """Run ``config`` under ``replications`` derived master seeds.
-
-    Seeds are ``master_seed + i * seed_stride`` so replications are
-    reproducible and disjoint; every other parameter is shared.  With
-    ``jobs>1`` the seeds run on worker processes; results keep seed order
-    and are identical to the serial path.
-
-    .. deprecated:: 1.1
-       Thin shim over :class:`~repro.orchestration.study.Study`; new code
-       should use ``Study.from_config(config).seeds(k)`` and
-       :meth:`~repro.orchestration.study.ResultSet.aggregate`.
-    """
-    if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
-    from repro.orchestration.study import Study
-
-    result_set = (
-        Study.from_config(config)
-        .seeds(replications, stride=seed_stride)
-        .run(jobs=jobs)
-    )
-    return ReplicatedResult(
-        config=config,
-        seeds=tuple(record.seed for record in result_set),
-        results=tuple(record.result for record in result_set),
-    )

@@ -34,20 +34,14 @@ Commands
     Claimed / done / orphaned census of a store's records and claims
     (``--store DIR``); with a grid (``--scenario`` plus the usual axis
     flags) also reports how many specs remain pending.
-``compare``
-    DAC vs NDAC under one workload; prints Figure 4/5/6 style output.
-``sweep``
-    Parameter sweep (M, T_out, E_bkf, …) printing Figure 8/9 style output.
-``replicate``
-    Multi-seed replication with mean ± CI summaries.
 ``experiment``
     Regenerate one paper table/figure by id (``fig1`` … ``table1``).
 ``scenarios``
     List every registered workload scenario.
 ``perf``
-    Performance harness: run one workload under every event kernel and
-    requested execution engine (``--engines``), plus the
-    full-instrumentation reference, and print events/sec.
+    Performance harness: run one workload under every requested
+    execution engine (``--engines``), plus the full-instrumentation
+    reference, and print events/sec.
 ``assignment``
     OTS_p2p vs baselines on a supplier set given as classes, e.g.
     ``repro-p2pstream assignment 1 2 3 3``.
@@ -65,20 +59,20 @@ Commands
 Simulation commands pick their workload with ``--scenario NAME`` (see
 ``scenarios``) or the legacy ``--pattern N`` shorthand, and accept
 ``--scale`` so full paper scale (1.0) or quick runs (0.05) are one flag
-away.  ``--kernel`` selects the event-queue kernel
-(results are bit-identical either way; the calendar kernels are faster
-at population scale), ``--engine object|array`` selects the execution
-engine (also bit-identical; the struct-of-arrays engine is built for
+away.  ``--engine object|array`` selects the execution engine (results
+are bit-identical either way; the struct-of-arrays engine is built for
 100k+ populations), ``--lifecycle`` selects a session-lifecycle model
 scheduling mid-stream supplier departures (with ``--recovery``
 choosing what interrupted requesters do; see
 :mod:`repro.simulation.lifecycle`), ``--probes NAME...`` (on
 ``run``/``study``) subscribes only the named metric probes (space- or
 comma-separated), and ``--profile`` (on ``run``/``study``) wraps
-execution in :mod:`cProfile` and prints the top 25 cumulative entries.  Grid commands (``study``/``compare``/``sweep``/``replicate``)
-take ``--jobs N`` to fan their independent runs out over worker
-processes, ``--cache-dir DIR`` to memoize run records on disk (repeat
-invocations are served from the
+execution in :mod:`cProfile` and prints the top 25 cumulative entries.
+``study`` is the one grid command: protocol comparisons, parameter
+sweeps and multi-seed replications are all axes of it.  It takes
+``--jobs N`` to fan its independent runs out over worker processes,
+``--cache-dir DIR`` (also on ``experiment``) to memoize run records on
+disk (repeat invocations are served from the
 :class:`~repro.orchestration.store.ResultStore` without re-simulating;
 ``--no-cache`` forces re-execution), and ``--export json|csv`` (with
 ``--out BASE``) to write the record set for downstream analysis.
@@ -116,7 +110,6 @@ from repro.orchestration.store import ResultStore
 from repro.orchestration.study import ResultSet, Study
 from repro.simulation.arrivals import arrivals_per_bin, generate_arrival_times, make_pattern
 from repro.simulation.config import ENGINE_NAMES, SimulationConfig
-from repro.simulation.kernel import KERNEL_NAMES
 from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
 from repro.simulation.metrics import SeriesPoint
 from repro.simulation.probes import PROBE_NAMES
@@ -144,9 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--lookup", choices=["directory", "chord"], default=None,
                        help="lookup substrate (default: the scenario's)")
-        p.add_argument("--kernel", choices=list(KERNEL_NAMES), default=None,
-                       help="event-queue kernel (results are bit-identical; "
-                            "default: the scenario's, normally heap)")
         p.add_argument("--engine", choices=list(ENGINE_NAMES), default=None,
                        help="execution engine (results are bit-identical; "
                             "'array' runs struct-of-arrays state for "
@@ -317,52 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     status_p.add_argument("--store", required=True,
                           help="result store directory to census")
 
-    cmp_p = sub.add_parser("compare", help="DAC vs NDAC comparison")
-    add_common(cmp_p)
-    add_jobs(cmp_p)
-    add_cache(cmp_p)
-    add_export(cmp_p)
-
-    sweep_p = sub.add_parser("sweep", help="parameter sweep")
-    add_common(sweep_p)
-    add_jobs(sweep_p)
-    add_cache(sweep_p)
-    add_export(sweep_p)
-    sweep_p.add_argument("parameter",
-                         choices=["probe_candidates", "t_out_seconds", "e_bkf"])
-    sweep_p.add_argument("values", nargs="+", type=float, help="values to sweep")
-
-    rep_p = sub.add_parser("replicate", help="multi-seed replication")
-    add_common(rep_p)
-    add_jobs(rep_p)
-    add_cache(rep_p)
-    add_export(rep_p)
-    rep_p.add_argument("--replications", type=positive_int, default=3,
-                       help="number of derived master seeds (default 3)")
-    rep_p.add_argument("--protocol", default=None,
-                       help="admission policy to replicate (default: the "
-                            "scenario's, normally dac)")
-
     sub.add_parser("scenarios", help="list the registered workload scenarios")
 
     perf_p = sub.add_parser(
-        "perf", help="events/sec of one workload under every event kernel"
+        "perf", help="events/sec of one workload per execution engine"
     )
     add_common(perf_p)
-    perf_p.add_argument("--kernels", nargs="+", choices=list(KERNEL_NAMES),
-                        default=None, metavar="KERNEL",
-                        help="kernels to measure (default: --kernel if "
-                             "given, else all)")
     perf_p.add_argument("--engines", nargs="+", choices=list(ENGINE_NAMES),
                         default=None, metavar="ENGINE",
                         help="execution engines to measure (default: "
                              "--engine if given, else the workload's)")
     perf_p.add_argument("--repeats", type=positive_int, default=1,
-                        help="measurements per kernel; the best is reported "
+                        help="measurements per engine; the best is reported "
                              "(default 1)")
     perf_p.add_argument("--no-reference", action="store_true",
                         help="skip the full-instrumentation reference run "
-                             "(heap kernel, every probe, message accounting)")
+                             "(object engine, every probe, message "
+                             "accounting)")
 
     asg_p = sub.add_parser("assignment", help="compare assignment algorithms")
     asg_p.add_argument("classes", nargs="+", type=int,
@@ -424,8 +385,6 @@ def _make_config(args: argparse.Namespace, **extra: object) -> SimulationConfig:
         extra["master_seed"] = args.seed
     if getattr(args, "protocol", None) is not None:
         extra["protocol"] = args.protocol
-    if getattr(args, "kernel", None) is not None:
-        extra["kernel"] = args.kernel
     if getattr(args, "engine", None) is not None:
         extra["engine"] = args.engine
     if getattr(args, "lifecycle", None) is not None:
@@ -673,81 +632,11 @@ def _study_body(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    print(config.describe())
-    result_set = (
-        Study.from_config(config, scenario=args.scenario)
-        .protocols("dac", "ndac")
-        .run(jobs=args.jobs, store=_store_from(args), cache=not args.no_cache)
-    )
-    results = {record.protocol: record for record in result_set}
-    pattern = config.arrival_pattern
-    print(report.figure4_report(results, pattern=pattern))
-    print()
-    print(report.table1_report({(name, pattern): r for name, r in results.items()}))
-    _export_result_set(args, result_set, "compare")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    values: list[object] = [
-        int(v) if args.parameter == "probe_candidates" else v for v in args.values
-    ]
-    result_set = (
-        Study.from_config(config, scenario=args.scenario)
-        .sweep(args.parameter, values)
-        .run(jobs=args.jobs, store=_store_from(args), cache=not args.no_cache)
-    )
-    results = {value: record for value, record in zip(values, result_set)}
-    if args.parameter == "e_bkf":
-        print(report.figure9_report(results))
-    else:
-        label = {"probe_candidates": "M", "t_out_seconds": "T_out"}[args.parameter]
-        print(report.figure8_report(results, parameter_label=label))
-    _export_result_set(args, result_set, "sweep")
-    return 0
-
-
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    from repro.analysis.replication import ReplicatedResult
-
-    config = _make_config(args)
-    print(config.describe())
-    result_set = (
-        Study.from_config(config, scenario=args.scenario)
-        .seeds(args.replications)
-        .run(jobs=args.jobs, store=_store_from(args), cache=not args.no_cache)
-    )
-    replicated = ReplicatedResult(
-        config=config,
-        seeds=tuple(record.seed for record in result_set),
-        results=tuple(result_set.records),
-    )
-    print(f"seeds: {', '.join(str(s) for s in replicated.seeds)}")
-    rows = [["final capacity", str(replicated.final_capacity())]]
-    for peer_class in sorted(config.requesting_peers):
-        if config.requesting_peers[peer_class]:
-            rows.append([
-                f"class {peer_class} rejections",
-                str(replicated.rejections_of_class(peer_class)),
-            ])
-    print(render_table(
-        ["metric", "mean ± 95% CI"], rows,
-        title=f"{args.replications}-seed replication",
-    ))
-    _export_result_set(args, result_set, "replicate")
-    return 0
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
     config = _make_config(args)
-    # --kernels wins; a bare --kernel measures just that kernel; neither
-    # measures them all.  Same precedence for --engines/--engine, except
-    # the default is the workload's own engine, not every engine (the
-    # array engine rejects some policies).
-    kernels = args.kernels or ([args.kernel] if args.kernel else list(KERNEL_NAMES))
+    # --engines wins; a bare --engine measures just that engine; neither
+    # measures the workload's own engine (the array engine rejects some
+    # policies, so "every engine" is no safe default).
     engines = args.engines or ([args.engine] if args.engine else [config.engine])
     print(config.describe())
     print()
@@ -764,8 +653,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         return events_per_sec, [
             label,
             run_config.engine,
-            # the array engine has its own dispatch core; kernel is unused
-            run_config.kernel if run_config.engine == "object" else "-",
             "all" if probes is None else f"{len(probes)}/{len(PROBE_NAMES)}",
             f"{result.events_processed}",
             f"{result.wall_seconds:.2f}s",
@@ -776,30 +663,25 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     reference_events_per_sec = None
     if not args.no_reference:
         # the full-instrumentation path: every probe, message accounting,
-        # binary heap — what every run paid before kernels and probe
-        # subscriptions existed
+        # object engine — what every run paid before probe subscriptions
+        # and the array engine existed
         reference = config.replace(
-            kernel="heap", engine="object", probes=None, track_messages=True
+            engine="object", probes=None, track_messages=True
         )
         reference_events_per_sec, row = measure("reference", reference)
         rows.append(row + ["1.00x"])
     for engine in engines:
-        # the kernel axis only exists on the object engine
-        for kernel in kernels if engine == "object" else kernels[:1]:
-            events_per_sec, row = measure(
-                "workload", config.replace(kernel=kernel, engine=engine)
-            )
-            speedup = (
-                f"{events_per_sec / reference_events_per_sec:.2f}x"
-                if reference_events_per_sec
-                else "-"
-            )
-            rows.append(row + [speedup])
+        events_per_sec, row = measure("workload", config.replace(engine=engine))
+        speedup = (
+            f"{events_per_sec / reference_events_per_sec:.2f}x"
+            if reference_events_per_sec
+            else "-"
+        )
+        rows.append(row + [speedup])
     print(render_table(
-        ["run", "engine", "kernel", "probes", "events", "wall",
-         "events/sec", "speedup"],
+        ["run", "engine", "probes", "events", "wall", "events/sec", "speedup"],
         rows,
-        title="perf: events/sec by engine and kernel",
+        title="perf: events/sec by engine",
     ))
     return 0
 
@@ -879,9 +761,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "study": _cmd_study,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-    "replicate": _cmd_replicate,
     "scenarios": _cmd_scenarios,
     "perf": _cmd_perf,
     "assignment": _cmd_assignment,

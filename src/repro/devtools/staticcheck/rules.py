@@ -61,14 +61,8 @@ __all__ = [
 #: per event at population scale, so attribute storage must be slotted.
 #: file (repo-relative) -> class names that must declare ``__slots__``.
 HOT_PATH_REGISTRY: dict[str, tuple[str, ...]] = {
-    "src/repro/simulation/engine.py": ("Simulator",),
+    "src/repro/simulation/engine.py": ("EventHandle", "HeapKernel", "Simulator"),
     "src/repro/simulation/entities.py": ("SimPeer",),
-    "src/repro/simulation/kernel.py": (
-        "EventHandle",
-        "HeapKernel",
-        "CalendarKernel",
-        "AutoCalendarKernel",
-    ),
     "src/repro/simulation/arraystate.py": ("PeerArrays", "SessionTable"),
     "src/repro/simulation/arrayengine.py": ("ArrayEngine",),
     "src/repro/streaming/session.py": ("ActiveSession",),

@@ -43,11 +43,6 @@ _CLASS_KEYED_FIELDS = ("seed_suppliers", "requesting_peers")
 #: (an entry without a pop, a pop without an entry, a stale field name, or
 #: an empty rationale).
 HASH_EXCLUDED_FIELDS: dict[str, str] = {
-    "kernel": (
-        "event kernels are dispatch-order-identical by contract (see "
-        "repro.simulation.kernel), so runs differing only in kernel "
-        "produce the same measurements and share one cache entry"
-    ),
     "engine": (
         "the array engine is parity-pinned against the object engine "
         "(see repro.simulation.arrayengine), so runs differing only in "
@@ -67,6 +62,9 @@ def config_to_dict(config: SimulationConfig) -> dict:
 def config_from_dict(data: dict) -> SimulationConfig:
     """Rebuild a validated config from :func:`config_to_dict` output."""
     payload = dict(data)
+    # Records stored by 1.x carry the event-kernel choice, a field retired
+    # in 2.0; it never entered the spec hash, so dropping it loses nothing.
+    payload.pop("kernel", None)
     for name in _CLASS_KEYED_FIELDS:
         payload[name] = {int(k): v for k, v in payload[name].items()}
     return SimulationConfig(**payload)
@@ -83,7 +81,6 @@ def config_hash(config: SimulationConfig) -> str:
     ``config-hash-drift`` rule keeps them and the allowlist in sync.
     """
     data = config_to_dict(config)
-    data.pop("kernel", None)
     data.pop("engine", None)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

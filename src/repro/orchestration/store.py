@@ -9,13 +9,15 @@ entirely from disk — bit-identical to the records of the first run.
 
 Robustness contract: :meth:`ResultStore.get` returns ``None`` (a cache
 miss, never an exception) for absent, corrupt, schema-mismatched, or
-version-mismatched entries; writes are atomic (temp file + rename), so a
-crashed run can never poison the cache for later ones.
+version-mismatched entries; writes are atomic (a per-writer temp file +
+rename), so a crashed run can never poison the cache for later ones and
+concurrent writers of one record never corrupt it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro._version import __version__
@@ -80,12 +82,21 @@ class ResultStore:
         return record
 
     def put(self, record: RunRecord) -> Path:
-        """Persist a record atomically; returns the file it landed in."""
+        """Persist a record atomically; returns the file it landed in.
+
+        Every call stages into its own uniquely named temp file (never
+        ``*.json``, so listings skip it) before renaming it into place:
+        two writers of one spec — legal once a lease expires — can never
+        interleave bytes, and the last rename leaves one whole record.
+        """
         path = self.path_for(record.spec_hash)
         payload = {"store_schema": STORE_SCHEMA, "record": record.to_dict()}
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        tmp = path.with_name(f"{record.spec_hash}.{os.urandom(8).hex()}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)  # only left behind by a failed write
         return path
 
     # ------------------------------------------------------------------

@@ -93,12 +93,10 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
     ),
     # ---- population-scale workloads ------------------------------------
     # Twice the paper's population (100k requesters) and multi-day
-    # horizons: tractable interactively only on the fast path — the
-    # calendar kernel plus a probe subscription that skips the expensive
-    # Figure-7 snapshot and the per-message accounting.  The probe
-    # subset and message tracking are part of what these scenarios
-    # *measure*; kernel choice never changes results (see
-    # repro.simulation.kernel) and is free to override.
+    # horizons: tractable interactively only on the fast path — a probe
+    # subscription that skips the expensive Figure-7 snapshot and the
+    # per-message accounting.  The probe subset and message tracking are
+    # part of what these scenarios *measure*.
     Scenario(
         name="metropolis_100k",
         description="a metropolis-scale audience: twice the paper's "
@@ -107,7 +105,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
         seed_suppliers=((1, 200),),
         requesting_peers=((1, 10000), (2, 10000), (3, 40000), (4, 40000)),
         config_overrides=(
-            ("kernel", "calendar"),
             ("probes", ("capacity", "admission_rate", "overall_admission", "table1")),
             ("track_messages", False),
         ),
@@ -120,7 +117,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
         seed_suppliers=((1, 200),),
         requesting_peers=((1, 10000), (2, 10000), (3, 40000), (4, 40000)),
         config_overrides=(
-            ("kernel", "calendar"),
             ("probes", ("capacity", "admission_rate", "overall_admission", "table1")),
             ("track_messages", False),
         ),
@@ -131,7 +127,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
         "arrivals over 7 days and an 8-day horizon",
         arrival_pattern=4,
         config_overrides=(
-            ("kernel", "calendar"),
             ("probes", ("capacity", "admission_rate", "overall_admission", "table1")),
             ("track_messages", False),
             ("arrival_window_seconds", 7 * 24 * HOUR),
@@ -152,14 +147,13 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
             (4, 400000),
         ),
         config_overrides=(
-            ("kernel", "calendar"),
             ("engine", "array"),
             ("probes", ("capacity", "admission_rate", "overall_admission", "table1")),
             ("track_messages", False),
         ),
     ),
     # ---- dynamic-membership workloads (session-lifecycle models) --------
-    # Suppliers can die *mid-stream* here: departures are kernel-scheduled
+    # Suppliers can die *mid-stream* here: departures are scheduled
     # events, active sessions are interrupted, and requesters recover by
     # re-probing and resuming from their buffer position (see
     # repro.simulation.lifecycle).  The continuity probe is subscribed
@@ -188,7 +182,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
             ("lifecycle_mean_up_seconds", 6 * HOUR),
             ("lifecycle_mean_down_seconds", 45 * 60.0),
             ("lifecycle_sigma", 1.0),
-            ("kernel", "calendar"),
             (
                 "probes",
                 (
@@ -212,7 +205,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
             ("lifecycle_mean_up_seconds", 10 * HOUR),
             ("lifecycle_mean_down_seconds", 45 * 60.0),
             ("lifecycle_night_factor", 0.25),
-            ("kernel", "calendar"),
             (
                 "probes",
                 (

@@ -27,12 +27,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.registry import SupplierRegistry
 from repro.simulation.requestpath import RequestPath
-from repro.simulation.runner import (
-    SimulationResult,
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import SimulationResult, run_simulation
 from repro.simulation.samplers import Samplers
 from repro.simulation.system import StreamingSystem
 
@@ -45,6 +40,4 @@ __all__ = [
     "Samplers",
     "SimulationResult",
     "run_simulation",
-    "compare_protocols",
-    "sweep_parameter",
 ]

@@ -35,10 +35,11 @@ not approximating:
   numpy sweep.
 
 The parity pins live in ``tests/simulation/test_arrayengine.py`` and run
-in CI next to the kernel-parity step; because results are identical by
+in CI next to the heap-contract step; because results are identical by
 contract, ``engine`` is excluded from spec hashes (see
-:func:`~repro.orchestration.runspec.config_hash`) and the ``kernel``
-field is ignored — the engine has its own dispatch core.
+:func:`~repro.orchestration.runspec.config_hash`).  The engine has its
+own dispatch core and does not use the object engine's
+:class:`~repro.simulation.engine.HeapKernel`.
 
 Representable policies
 ----------------------

@@ -4,7 +4,7 @@ The paper treats peer unavailability as an *admission-time* condition — a
 probed candidate may be "down" (:mod:`repro.simulation.churn`) — and its
 supplier-churn extension is *graceful*: a busy supplier defers departure
 until its session ends.  This module promotes churn to first-class
-scheduled events on the :class:`~repro.simulation.kernel.EventKernel`: a
+scheduled events on the :class:`~repro.simulation.engine.Simulator`: a
 supplier can die **mid-stream**, its active sessions are interrupted, and
 the requesting peers must recover (re-probe, re-admit, resume from their
 buffer position) while the continuity probes charge every stall against
@@ -17,7 +17,7 @@ Two layers live here:
   "when does it come back?".  Every model derives its draws from private,
   per-peer RNGs seeded by ``(master seed, peer id)``, so event timings are
   reproducible and independent of dispatch interleaving — the same
-  contract that makes event kernels interchangeable.
+  contract that makes the two execution engines interchangeable.
 * **:class:`LifecycleDynamics`** — the subsystem that turns a model's
   answers into kernel-scheduled departure/return events and drives the
   supply-side bookkeeping (capacity ledger, lookup registration, idle
@@ -111,7 +111,7 @@ class LifecycleModel(Protocol):
     Implementations must be deterministic per ``(seed, peer_id)`` and must
     not share RNG state across peers, so that scheduled timings do not
     depend on the order peers are activated in — the property that keeps
-    lifecycle runs bit-identical across event kernels.
+    lifecycle runs bit-identical across execution engines.
     """
 
     #: registry key (also the ``SimulationConfig.lifecycle`` vocabulary)

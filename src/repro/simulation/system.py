@@ -59,7 +59,7 @@ class StreamingSystem:
         self.ladder = config.ladder
         self.media = config.media
         self.policy = make_policy(config.protocol)
-        self.sim = Simulator(kernel=config.kernel)
+        self.sim = Simulator()
         self.streams = RandomStreams(config.master_seed)
         # Lifecycle runs with the default subscription also get the
         # continuity probe — its artifacts are what the extension measures.

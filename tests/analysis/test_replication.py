@@ -1,9 +1,22 @@
-"""Unit tests for multi-seed replication."""
+"""Unit tests for multi-seed replication summaries."""
 
 import pytest
 
-from repro.analysis.replication import replicate
+from repro.analysis.replication import ReplicatedResult
+from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
+
+
+def replicate(config, replications, seed_stride=1):
+    """A :class:`ReplicatedResult` over a seed-axis study of ``config``."""
+    result_set = (
+        Study.from_config(config).seeds(replications, stride=seed_stride).run()
+    )
+    return ReplicatedResult(
+        config=config,
+        seeds=tuple(record.seed for record in result_set),
+        results=tuple(record.result for record in result_set),
+    )
 
 
 @pytest.fixture(scope="module")

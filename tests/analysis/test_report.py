@@ -3,8 +3,14 @@
 import pytest
 
 from repro.analysis import report
+from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import compare_protocols, run_simulation, sweep_parameter
+
+
+def swept(config, parameter, values):
+    """Live results of a one-axis study, keyed by the swept value."""
+    result_set = Study.from_config(config).sweep(parameter, values).run()
+    return {record.axis(parameter): record.result for record in result_set}
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +21,8 @@ def results():
         arrival_pattern=2,
         master_seed=5,
     )
-    return compare_protocols(config)
+    result_set = Study.from_config(config).protocols("dac", "ndac").run()
+    return {record.protocol: record.result for record in result_set}
 
 
 class TestFigure1:
@@ -65,10 +72,10 @@ class TestSimulationReports:
             requesting_peers={1: 10, 2: 10, 3: 40, 4: 40},
             master_seed=5,
         )
-        sweep_m = sweep_parameter(config, "probe_candidates", [4, 8])
+        sweep_m = swept(config, "probe_candidates", [4, 8])
         text8 = report.figure8_report(sweep_m, parameter_label="M")
         assert "M=4" in text8 and "M=8" in text8
-        sweep_e = sweep_parameter(config, "e_bkf", [1.0, 2.0])
+        sweep_e = swept(config, "e_bkf", [1.0, 2.0])
         text9 = report.figure9_report(sweep_e)
         assert "E_bkf=1" in text9 and "final admission rate" in text9
 

@@ -43,6 +43,15 @@ store = ResultStore(params["store"])
 def touch(name):
     Path(params["store"], name).write_text("", encoding="utf-8")
 
+if params.get("start_barrier"):
+    # Spin until the parent releases every worker at once, so their
+    # critical sections overlap instead of running back to back.
+    deadline = time.time() + 30
+    while not Path(params["start_barrier"]).exists():
+        if time.time() > deadline:
+            raise SystemExit("start barrier never appeared")
+        time.sleep(0.005)
+
 if params["mode"] == "hold":
     # Claim every spec, signal readiness, then freeze: the parent
     # SIGKILLs us while the leases are live, exactly as an OOM kill
@@ -57,12 +66,6 @@ if params["mode"] == "hold":
 elif params["mode"] == "run":
     # The real cooperative path: claim-batch 1 so concurrent workers
     # interleave spec by spec instead of one grabbing the whole grid.
-    if params.get("start_barrier"):
-        deadline = time.time() + 30
-        while not Path(params["start_barrier"]).exists():
-            if time.time() > deadline:
-                raise SystemExit("start barrier never appeared")
-            time.sleep(0.005)
     report = shard_run(
         study, store,
         owner=params["owner"],
@@ -70,6 +73,15 @@ elif params["mode"] == "run":
         claim_batch=1,
         executed_log=params["executed_log"],
     )
+    touch(f"done-{params['owner']}")
+elif params["mode"] == "put":
+    # Write one record over and over, as two workers that both ran a
+    # spec after its lease expired would.
+    record = RunRecord.from_dict(
+        json.loads(Path(params["record"]).read_text(encoding="utf-8"))
+    )
+    for _ in range(params["puts"]):
+        store.put(record)
     touch(f"done-{params['owner']}")
 else:
     raise SystemExit(f"unknown mode {params['mode']!r}")

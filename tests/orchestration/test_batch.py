@@ -4,15 +4,10 @@ import json
 
 import pytest
 
-from repro.analysis.replication import replicate
-from repro.errors import ConfigurationError
 from repro.orchestration import run_batch
+from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import (
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import run_simulation
 
 
 def small_config(**overrides):
@@ -74,43 +69,25 @@ class TestRunBatch:
 
 
 class TestJobsPlumbing:
-    def test_compare_protocols_parallel_parity(self):
-        config = small_config()
-        serial = compare_protocols(config, jobs=1)
-        parallel = compare_protocols(config, jobs=2)
-        assert list(serial) == list(parallel) == ["dac", "ndac"]
-        assert fingerprint(serial.values()) == fingerprint(parallel.values())
+    """Study grids fan out over ``jobs`` without changing any record.
 
-    def test_sweep_parameter_parallel_parity(self):
-        config = small_config()
-        serial = sweep_parameter(config, "probe_candidates", [4, 8], jobs=1)
-        parallel = sweep_parameter(config, "probe_candidates", [4, 8], jobs=2)
-        assert list(serial) == list(parallel) == [4, 8]
-        assert fingerprint(serial.values()) == fingerprint(parallel.values())
+    (The protocol axis is covered by ``test_study.py``.)
+    """
+
+    def test_sweep_axis_parallel_parity(self):
+        study = Study.from_config(small_config()).sweep("probe_candidates", [4, 8])
+        serial = study.run(jobs=1)
+        parallel = study.run(jobs=2)
+        assert [r.axis("probe_candidates") for r in parallel] == [4, 8]
+        assert [r.fingerprint() for r in serial] == [
+            r.fingerprint() for r in parallel
+        ]
 
     def test_replicate_parallel_parity_and_seed_pairing(self):
-        config = small_config()
-        serial = replicate(config, replications=3, jobs=1)
-        parallel = replicate(config, replications=3, jobs=2)
-        assert serial.seeds == parallel.seeds == (11, 12, 13)
-        assert fingerprint(serial.results) == fingerprint(parallel.results)
-
-
-class TestShimValidation:
-    """The legacy helpers no longer silently collapse duplicate grid keys."""
-
-    def test_compare_rejects_duplicate_protocols(self):
-        with pytest.raises(ConfigurationError):
-            compare_protocols(small_config(), protocols=("dac", "dac"))
-
-    def test_sweep_rejects_duplicate_values(self):
-        with pytest.raises(ConfigurationError):
-            sweep_parameter(small_config(), "probe_candidates", [8, 8])
-
-    def test_sweep_rejects_unknown_parameter_naming_valid_fields(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            sweep_parameter(small_config(), "probe_count", [4])
-        message = str(excinfo.value)
-        assert "probe_count" in message
-        assert "probe_candidates" in message
-        assert "e_bkf" in message
+        study = Study.from_config(small_config()).seeds(3)
+        serial = study.run(jobs=1)
+        parallel = study.run(jobs=2)
+        assert [r.seed for r in serial] == [r.seed for r in parallel] == [11, 12, 13]
+        assert [r.fingerprint() for r in serial] == [
+            r.fingerprint() for r in parallel
+        ]

@@ -8,6 +8,7 @@ to the serial oracle; concurrent workers over one store execute every
 spec exactly once.
 """
 
+import json
 import time
 
 import pytest
@@ -166,3 +167,40 @@ class TestClaimContention:
         # And the cooperative result is byte-identical to the oracle.
         collected = tiny_study().collect(store)
         assert [r.fingerprint() for r in collected] == oracle_fingerprints
+
+
+class TestConcurrentWrites:
+    def test_two_writers_of_one_record_never_collide(self, tmp_path):
+        """Same-record puts from two processes: no raise, one whole record.
+
+        Two workers may both write one spec's record (the second ran it
+        after the first's lease expired).  Each put must stage in its own
+        temp file, so neither writer's rename can find its file gone or
+        land bytes interleaved with the other's.
+        """
+        store = ResultStore(tmp_path / "store")
+        (record,) = tiny_study().seeds(1).run()
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(record.to_dict()), encoding="utf-8")
+        barrier = tmp_path / "start"
+        workers = []
+        for owner in ("alpha", "beta"):
+            params = tiny_study_params(
+                store.root, owner=owner, start_barrier=barrier
+            )
+            params.update(mode="put", record=str(record_path), puts=300)
+            workers.append(spawn_worker(params))
+        try:
+            barrier.write_text("", encoding="utf-8")
+            for worker in workers:
+                drain(worker)
+        finally:
+            for worker in workers:
+                if worker.poll() is None:
+                    worker.kill()
+        assert store.spec_hashes() == [record.spec_hash]
+        stored = store.get(record.spec_hash)
+        assert stored is not None
+        assert stored.fingerprint() == record.fingerprint()
+        # every staged temp file was renamed into place, none left behind
+        assert not list(store.root.glob("*.tmp"))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import repro.orchestration.batch as batch
+from repro.orchestration.shard import merge_stores
 from repro.orchestration.store import ResultStore
 from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
@@ -150,3 +151,37 @@ class TestCacheSemantics:
         relabeled = dataclasses.replace(config)  # equal content, new object
         cached = Study.from_config(relabeled).run(store=store)[0]
         assert cached.result is None
+
+
+class TestRetiredFieldMigration:
+    """Records written by 1.5 carry the retired ``kernel`` config key."""
+
+    def write_old_record(self, store):
+        """A 1.5-format record file, as ``repro study`` wrote it then."""
+        record = Study.from_config(small_config()).run()[0]
+        data = record.to_dict()
+        data["config"] = dict(data["config"], kernel="calendar")
+        data["version"] = "1.5.0"
+        payload = {"store_schema": 1, "record": data}
+        store.path_for(record.spec_hash).write_text(
+            json.dumps(payload, sort_keys=True), encoding="utf-8"
+        )
+        return record
+
+    def test_old_record_loads_and_rebuilds_its_config(self, tmp_path):
+        store = ResultStore(tmp_path / "old", require_version=None)
+        fresh = self.write_old_record(store)
+        loaded = store.get(fresh.spec_hash)
+        assert loaded is not None
+        assert loaded.config_data["kernel"] == "calendar"  # bytes preserved
+        assert loaded.config == small_config()
+
+    def test_old_record_passes_through_merge(self, tmp_path):
+        old = ResultStore(tmp_path / "old", require_version=None)
+        fresh = self.write_old_record(old)
+        merged = ResultStore(tmp_path / "merged", require_version=None)
+        report = merge_stores(merged, [old])
+        assert report.copied == 1
+        record = merged.get(fresh.spec_hash)
+        assert record.fingerprint() == old.get(fresh.spec_hash).fingerprint()
+        assert record.config == small_config()

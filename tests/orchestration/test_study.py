@@ -104,7 +104,7 @@ class TestStudyValidation:
         with pytest.raises(ConfigurationError):
             Study.from_config(small_config()).sweep("probe_candidates", [4, 4])
 
-    def test_unknown_sweep_parameter_lists_valid_fields(self):
+    def test_unknown_sweep_field_lists_valid_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
             Study.from_config(small_config()).sweep("probe_cadidates", [4])
         assert "probe_candidates" in str(excinfo.value)

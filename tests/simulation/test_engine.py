@@ -211,21 +211,6 @@ class TestCompactionEdgeCases:
         assert len(sim._queue) == half - 1
         assert sim.pending == half - 1
 
-    def test_cancel_all_then_schedule_calendar_kernel(self):
-        """The calendar kernel honours the same compaction policy."""
-        sim = Simulator(kernel="calendar")
-        handles = [
-            sim.schedule_at(float(i * 30), lambda _: None, None)
-            for i in range(Simulator.COMPACT_MIN_SIZE * 2)
-        ]
-        for handle in handles:
-            sim.cancel(handle)
-        assert sim.pending == 0
-        fired = []
-        sim.schedule_at(5.0, fired.append, "fresh")
-        sim.run()
-        assert fired == ["fresh"]
-
 
 class TestStep:
     def test_step_processes_one_event(self):

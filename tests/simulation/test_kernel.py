@@ -1,59 +1,31 @@
-"""Event-kernel unit tests and the cross-kernel determinism parity suite."""
-
-import json
-import random
+"""Event-kernel unit tests: the heap kernel's dispatch contract and the
+``make_kernel`` seam that outside instrumentation wraps."""
 
 import pytest
 
-from repro.orchestration.runspec import RunSpec
-from repro.orchestration.study import RunRecord
-from repro.scenarios import all_scenarios, get_scenario
-from repro.simulation.engine import Simulator
-from repro.simulation.kernel import (
-    KERNEL_NAMES,
-    AutoCalendarKernel,
-    CalendarKernel,
-    EventKernel,
-    HeapKernel,
-    make_kernel,
-)
-from repro.simulation.runner import run_simulation
+import repro.simulation.engine as engine
 from repro.errors import ConfigurationError
+from repro.scenarios import get_scenario
+from repro.simulation.engine import HeapKernel, Simulator, make_kernel
+from repro.simulation.runner import run_simulation
+
+from test_lifecycle import PRE_LIFECYCLE_FINGERPRINTS, behavior_fingerprint
 
 
 class TestMakeKernel:
     def test_known_names(self):
-        assert set(KERNEL_NAMES) == {"heap", "calendar", "calendar-auto"}
         assert isinstance(make_kernel("heap"), HeapKernel)
-        assert isinstance(make_kernel("calendar"), CalendarKernel)
-        assert isinstance(make_kernel("calendar-auto"), AutoCalendarKernel)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_kernel("fibonacci")
 
-    def test_kernels_satisfy_the_protocol(self):
-        assert isinstance(make_kernel("heap"), EventKernel)
-        assert isinstance(make_kernel("calendar"), EventKernel)
 
-    def test_invalid_calendar_width_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CalendarKernel(bucket_seconds=0.0)
-
-    def test_simulator_accepts_kernel_instances(self):
-        sim = Simulator(kernel=CalendarKernel(bucket_seconds=10.0))
-        fired = []
-        sim.schedule_at(5.0, fired.append, "x")
-        sim.run()
-        assert fired == ["x"]
-
-
-@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 class TestKernelContract:
-    """Both kernels honour the (time, sequence) dispatch contract."""
+    """The heap kernel honours the (time, sequence) dispatch contract."""
 
-    def test_time_order(self, kernel_name):
-        sim = Simulator(kernel=kernel_name)
+    def test_time_order(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(500.0, fired.append, "late")
         sim.schedule_at(1.0, fired.append, "early")
@@ -61,16 +33,16 @@ class TestKernelContract:
         sim.run()
         assert fired == ["early", "middle", "late"]
 
-    def test_simultaneous_events_fifo(self, kernel_name):
-        sim = Simulator(kernel=kernel_name)
+    def test_simultaneous_events_fifo(self):
+        sim = Simulator()
         fired = []
         for label in "abcde":
             sim.schedule_at(130.0, fired.append, label)
         sim.run()
         assert fired == list("abcde")
 
-    def test_cancellation_and_live_count(self, kernel_name):
-        sim = Simulator(kernel=kernel_name)
+    def test_cancellation_and_live_count(self):
+        sim = Simulator()
         handles = [sim.schedule_at(float(i), lambda _: None, None) for i in range(10)]
         for handle in handles[:4]:
             sim.cancel(handle)
@@ -81,8 +53,8 @@ class TestKernelContract:
         assert sim.events_processed == 6
         assert sim.pending == 0
 
-    def test_run_until_boundary(self, kernel_name):
-        sim = Simulator(kernel=kernel_name)
+    def test_run_until_boundary(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(100.0, fired.append, "in")
         sim.schedule_at(300.0, fired.append, "edge")
@@ -94,8 +66,8 @@ class TestKernelContract:
         sim.run()
         assert fired == ["in", "edge", "out"]
 
-    def test_events_scheduled_during_run(self, kernel_name):
-        sim = Simulator(kernel=kernel_name)
+    def test_events_scheduled_during_run(self):
+        sim = Simulator()
         fired = []
 
         def chain(n):
@@ -109,159 +81,52 @@ class TestKernelContract:
         assert sim.now == 120.0
 
 
-class TestCalendarInternals:
-    def test_buckets_are_retired_and_recreated(self):
-        kernel = CalendarKernel(bucket_seconds=10.0)
-        sim = Simulator(kernel=kernel)
-        fired = []
-        sim.schedule_at(5.0, fired.append, "first")
-        sim.run()
-        # bucket 0 drained; schedule into it again at a later time offset
-        sim.schedule_at(7.0, fired.append, "second")
-        sim.schedule_at(25.0, fired.append, "third")
-        sim.run()
-        assert fired == ["first", "second", "third"]
+class CountingKernel:
+    """Proxy with the kernel surface, counting what passes through it."""
 
-    def test_compaction_rebuilds_buckets(self):
-        kernel = CalendarKernel(bucket_seconds=10.0)
-        sim = Simulator(kernel=kernel)
-        live = [sim.schedule_at(float(i), lambda _: None, None) for i in range(40)]
-        dead = [
-            sim.schedule_at(1000.0 + i, lambda _: None, None) for i in range(42)
-        ]
-        for handle in dead:
-            sim.cancel(handle)
-        # the graveyard was dropped: only live entries remain stored
-        stored = sum(len(bucket) for bucket in kernel._buckets.values())
-        assert stored == len(live)
-        assert sim.pending == len(live)
-        sim.run()
-        assert sim.events_processed == len(live)
+    def __init__(self, inner):
+        self.inner = inner
+        self.pushes = self.pops = self.cancels = 0
+
+    @property
+    def live(self):
+        return self.inner.live
+
+    def push(self, entry):
+        self.pushes += 1
+        self.inner.push(entry)
+
+    def cancel(self, handle):
+        self.cancels += 1
+        self.inner.cancel(handle)
+
+    def pop_due(self, until):
+        entry = self.inner.pop_due(until)
+        if entry is not None:
+            self.pops += 1
+        return entry
 
 
-class TestAutoCalendarCalibration:
-    def test_width_is_learned_from_the_staged_entries(self):
-        kernel = AutoCalendarKernel()
-        sim = Simulator(kernel=kernel)
-        fired = []
-        # 101 events over 1000 s: span/count * 16 = 1000/101 * 16 ≈ 158.4
-        for i in range(101):
-            sim.schedule_at(i * 10.0, fired.append, i)
-        assert kernel._staged is not None  # still staging: nothing popped
-        sim.run()
-        assert kernel._staged is None
-        assert kernel._width == pytest.approx(1000.0 / 101.0 * 16.0)
-        assert fired == list(range(101))
+def test_module_level_make_kernel_is_the_instrumentation_seam(monkeypatch):
+    """A one-argument ``engine.make_kernel`` replacement sees every event.
 
-    def test_width_is_clamped(self):
-        narrow = AutoCalendarKernel()
-        sim = Simulator(kernel=narrow)
-        for i in range(100):
-            sim.schedule_at(i * 0.001, lambda _: None, None)
-        sim.run()
-        assert narrow._width == AutoCalendarKernel.MIN_BUCKET_SECONDS
-
-        wide = AutoCalendarKernel()
-        sim = Simulator(kernel=wide)
-        sim.schedule_at(0.0, lambda _: None, None)
-        sim.schedule_at(10_000_000.0, lambda _: None, None)
-        sim.run()
-        assert wide._width == AutoCalendarKernel.MAX_BUCKET_SECONDS
-
-    def test_empty_first_pop_keeps_the_default_width(self):
-        kernel = AutoCalendarKernel()
-        sim = Simulator(kernel=kernel)
-        sim.run()  # first pop with nothing staged
-        assert kernel._staged is None
-        assert kernel._width == CalendarKernel.DEFAULT_BUCKET_SECONDS
-        # the kernel keeps working after an empty calibration
-        fired = []
-        sim.schedule_at(5.0, fired.append, "later")
-        sim.run()
-        assert fired == ["later"]
-
-    def test_cancellation_during_staging(self):
-        kernel = AutoCalendarKernel()
-        sim = Simulator(kernel=kernel)
-        fired = []
-        handles = [sim.schedule_at(float(i), fired.append, i) for i in range(10)]
-        for handle in handles[:4]:
-            sim.cancel(handle)
-        sim.cancel(handles[0])  # double cancel is a no-op while staging
-        assert sim.pending == 6
-        sim.run()
-        assert fired == list(range(4, 10))
-        # cancelled staged entries never entered the buckets
-        assert kernel._dead == 0
-
-
-class TestCrossKernelEquivalence:
-    """Randomized schedule/cancel workloads fire identically on all kernels."""
-
-    def test_random_workload_parity(self):
-        def execute(kernel_name: str) -> list[tuple[float, int]]:
-            rng = random.Random(42)
-            sim = Simulator(kernel=kernel_name)
-            fired: list[tuple[float, int]] = []
-            handles = []
-            for i in range(500):
-                time = round(rng.uniform(0.0, 5000.0), 3)
-                handles.append(sim.schedule_at(time, fired.append, (time, i)))
-            for i in range(0, 500, 7):
-                sim.cancel(handles[i])
-            # interleave: drain half, schedule more, drain the rest
-            sim.run(until=2500.0)
-            for i in range(200):
-                time = round(sim.now + rng.uniform(0.0, 2500.0), 3)
-                sim.schedule_at(time, fired.append, (time, 500 + i))
-            sim.run()
-            return fired
-
-        baseline = execute("heap")
-        for kernel_name in KERNEL_NAMES:
-            assert execute(kernel_name) == baseline
-
-
-@pytest.mark.parametrize("scenario_name", ["quickstart", "heavy_churn"])
-def test_full_simulation_parity_across_kernels(scenario_name):
-    """HeapKernel and CalendarKernel produce bit-identical runs.
-
-    The acceptance bar of the kernel seam: same config (quickstart and the
-    churn workload, which exercises departure/rejoin timers) → identical
-    metrics payloads, event counts and message statistics under every
-    kernel; only wall time may differ.
+    Benchmarks trace the object engine by swapping the module-level
+    factory for one that wraps the real kernel in a counting proxy; the
+    simulator must build its kernel through that name, call it with one
+    positional argument, and behave identically with the proxy in place.
     """
-    config = get_scenario(scenario_name).build_config(scale=0.01)
-    reference = run_simulation(config.replace(kernel="heap"))
-    reference_dump = json.dumps(reference.metrics.to_dict(), sort_keys=True)
-    for kernel_name in KERNEL_NAMES:
-        result = run_simulation(config.replace(kernel=kernel_name))
-        # json text comparison keeps NaN means comparable (NaN != NaN)
-        assert json.dumps(result.metrics.to_dict(), sort_keys=True) == reference_dump
-        assert result.events_processed == reference.events_processed
-        assert result.message_stats == reference.message_stats
+    config = get_scenario("quickstart").build_config(scale=0.004)
+    proxies = []
+    real_make_kernel = engine.make_kernel
 
+    def counting_make_kernel(name):
+        proxies.append(CountingKernel(real_make_kernel(name)))
+        return proxies[-1]
 
-def test_all_builtin_scenarios_produce_identical_records_across_kernels():
-    """Bit-identical RunRecords (up to wall time) on every builtin workload.
+    monkeypatch.setattr(engine, "make_kernel", counting_make_kernel)
+    traced = run_simulation(config)
 
-    Record fingerprints cover the full serialized payload minus wall time;
-    the kernel field itself is normalized out (it is provenance, not a
-    measurement — and config hashes already exclude it, so both kernels'
-    records share one spec hash).
-    """
-    for scenario in all_scenarios():
-        config = scenario.build_config(scale=0.004)
-        fingerprints = set()
-        hashes = set()
-        for kernel_name in KERNEL_NAMES:
-            run_config = config.replace(kernel=kernel_name)
-            spec = RunSpec(config=run_config, scenario=scenario.name)
-            record = RunRecord.from_result(spec, run_simulation(run_config))
-            normalized = record.to_dict()
-            del normalized["wall_seconds"]
-            normalized["config"].pop("kernel")
-            fingerprints.add(repr(sorted(normalized.items(), key=lambda kv: kv[0])))
-            hashes.add(spec.spec_hash)
-        assert len(fingerprints) == 1, f"kernel-dependent record in {scenario.name}"
-        assert len(hashes) == 1, f"kernel leaked into spec hash in {scenario.name}"
+    (proxy,) = proxies
+    assert proxy.pushes > 0
+    assert proxy.pops == traced.events_processed > 0
+    assert behavior_fingerprint(traced) == PRE_LIFECYCLE_FINGERPRINTS["quickstart"]

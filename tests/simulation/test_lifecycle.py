@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenarios import all_scenarios, get_scenario
 from repro.simulation.config import SimulationConfig
-from repro.simulation.kernel import KERNEL_NAMES
 from repro.simulation.lifecycle import (
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
@@ -257,24 +256,6 @@ class TestMidStreamRecovery:
         assert sum(metrics.supplier_departures.values()) > 0
         # on/off churn interrupts continuously, not just once
         assert sum(metrics.interruptions.values()) > 0
-
-
-@pytest.mark.parametrize("lifecycle", ["onoff", "sessions", "diurnal", "flash"])
-def test_lifecycle_runs_are_kernel_invariant(lifecycle):
-    """Every lifecycle model produces bit-identical runs on every kernel.
-
-    The determinism contract extends to the new subsystem: departures,
-    interruptions and recoveries are scheduled events drawn from per-peer
-    RNGs, so dispatch-order-identical kernels must agree byte for byte.
-    """
-    config = SimulationConfig(lifecycle=lifecycle).scaled(0.02)
-    reference = run_simulation(config.replace(kernel="heap"))
-    reference_dump = json.dumps(reference.metrics.to_dict(), sort_keys=True)
-    for kernel_name in KERNEL_NAMES:
-        result = run_simulation(config.replace(kernel=kernel_name))
-        assert json.dumps(result.metrics.to_dict(), sort_keys=True) == reference_dump
-        assert result.events_processed == reference.events_processed
-        assert result.message_stats == reference.message_stats
 
 
 class TestRecordDuckCompatibility:

@@ -47,10 +47,6 @@ class TestSubscriptions:
         config = SimulationConfig(probes=["capacity", "table1"])
         assert config.probes == ("capacity", "table1")  # normalized to tuple
 
-    def test_config_validates_kernel(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(kernel="fibonacci")
-
 
 class TestUnsubscribedDefaults:
     """Unsubscribed probes read as empty series / NaN means, never KeyError."""
@@ -160,7 +156,6 @@ class TestEndToEnd:
     def test_population_scale_scenarios_subscribe_the_fast_path(self):
         for name in ("metropolis_100k", "flash_crowd_100k", "diurnal_week"):
             config = get_scenario(name).build_config(scale=0.002)
-            assert config.kernel == "calendar"
             assert config.probes is not None
             assert "favored" not in config.probes
             assert config.track_messages is False

@@ -1,13 +1,9 @@
-"""Unit tests for the experiment runner helpers."""
+"""Unit tests for the one-call simulation runner."""
 
 import pytest
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import (
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +37,3 @@ class TestRunSimulation:
         text = run_simulation(config).summary()
         assert "dac" in text and "pattern 1" in text
 
-
-class TestCompareProtocols:
-    def test_runs_both_protocols(self, config):
-        results = compare_protocols(config)
-        assert set(results) == {"dac", "ndac"}
-        assert results["dac"].config.protocol == "dac"
-        assert results["ndac"].config.protocol == "ndac"
-
-    def test_custom_protocol_list(self, config):
-        results = compare_protocols(config, protocols=("dac", "dac-no-reminder"))
-        assert set(results) == {"dac", "dac-no-reminder"}
-
-
-class TestSweep:
-    def test_sweep_replaces_parameter(self, config):
-        results = sweep_parameter(config, "probe_candidates", [4, 8])
-        assert results[4].config.probe_candidates == 4
-        assert results[8].config.probe_candidates == 8
-
-    def test_sweep_keys_preserve_values(self, config):
-        results = sweep_parameter(config, "e_bkf", [1.0, 2.0])
-        assert list(results) == [1.0, 2.0]

@@ -51,18 +51,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5" in out and "Figure 6" in out
 
-    def test_compare_command_small(self, capsys):
-        assert main(["compare", "--scale", "0.004", "--pattern", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 4" in out and "Table 1" in out
-
-    def test_sweep_command_small(self, capsys):
-        code = main(
-            ["sweep", "e_bkf", "1", "2", "--scale", "0.004", "--pattern", "1"]
-        )
-        assert code == 0
-        assert "E_bkf=1" in capsys.readouterr().out
-
     def test_experiment_listing(self, capsys):
         assert main(["experiment"]) == 0
         out = capsys.readouterr().out
@@ -99,23 +87,6 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scenario", "nope"])
 
-    def test_replicate_command(self, capsys):
-        code = main(
-            ["replicate", "--scale", "0.004", "--pattern", "1",
-             "--replications", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2-seed replication" in out
-        assert "final capacity" in out
-
-    def test_compare_with_jobs(self, capsys):
-        code = main(
-            ["compare", "--scale", "0.004", "--pattern", "1", "--jobs", "2"]
-        )
-        assert code == 0
-        assert "Figure 4" in capsys.readouterr().out
-
     def test_run_with_custom_seed_and_protocol(self, capsys):
         code = main(
             ["run", "--scale", "0.004", "--seed", "99", "--protocol", "ndac"]
@@ -125,28 +96,20 @@ class TestCommands:
 
 
 class TestPerfAndProfiling:
-    def test_perf_command_reports_every_kernel(self, capsys):
+    def test_perf_command_reports_reference_and_workload(self, capsys):
         assert main(["perf", "--scale", "0.004", "--scenario", "quickstart"]) == 0
         out = capsys.readouterr().out
         assert "events/sec" in out
         assert "reference" in out
-        assert "calendar" in out
-        assert "heap" in out
+        assert "workload" in out
 
     def test_perf_no_reference(self, capsys):
         assert main([
-            "perf", "--scale", "0.004", "--kernels", "calendar", "--no-reference",
+            "perf", "--scale", "0.004", "--engines", "array", "--no-reference",
         ]) == 0
         out = capsys.readouterr().out
         assert "reference" not in out
-        assert "calendar" in out
-
-    def test_run_with_kernel_and_probes(self, capsys):
-        assert main([
-            "run", "--scale", "0.004", "--kernel", "calendar",
-            "--probes", "capacity", "table1",
-        ]) == 0
-        assert "capacity" in capsys.readouterr().out
+        assert "array" in out
 
     def test_run_profile_prints_top_entries(self, capsys):
         assert main(["run", "--scale", "0.004", "--profile"]) == 0
@@ -154,17 +117,11 @@ class TestPerfAndProfiling:
         assert "profile (top 25 by cumulative time):" in out
         assert "cumtime" in out
 
-    def test_study_profile_and_kernel(self, capsys):
-        assert main([
-            "study", "--scale", "0.004", "--kernel", "calendar", "--profile",
-        ]) == 0
+    def test_study_profile_prints_top_entries(self, capsys):
+        assert main(["study", "--scale", "0.004", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "study: 1 runs" in out
         assert "profile (top 25 by cumulative time):" in out
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--kernel", "fibonacci"])
 
     def test_unknown_probe_rejected(self):
         with pytest.raises(SystemExit):
@@ -273,17 +230,28 @@ class TestStudyCommand:
         assert main(argv) == 0
         assert "cache" in capsys.readouterr().out
 
-    def test_study_rejects_unknown_sweep_parameter(self, capsys):
+    def test_study_rejects_unknown_sweep_field(self, capsys):
         code = main(
             ["study", "--scale", "0.004", "--sweep", "nonexistent_knob", "4"]
         )
         assert code == 2
         assert "probe_candidates" in capsys.readouterr().err
 
-    def test_compare_with_export(self, capsys, tmp_path):
+    def test_study_protocols_with_jobs(self, capsys):
+        code = main(
+            ["study", "--scale", "0.004", "--pattern", "1",
+             "--protocols", "dac", "ndac", "--jobs", "2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "study: 2 runs" in out
+        assert "dac" in out and "ndac" in out
+
+    def test_study_protocols_with_export(self, capsys, tmp_path):
         out_base = str(tmp_path / "cmp")
         code = main(
-            ["compare", "--scale", "0.004", "--pattern", "1",
+            ["study", "--scale", "0.004", "--pattern", "1",
+             "--protocols", "dac", "ndac",
              "--export", "json", "--out", out_base]
         )
         assert code == 0
@@ -294,15 +262,6 @@ class TestStudyCommand:
         code = main(["study", "--scale", "0.004", "--resume"])
         assert code == 2
         assert "--cache-dir" in capsys.readouterr().err
-
-    def test_replicate_with_cache_dir(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        argv = ["replicate", "--scale", "0.004", "--pattern", "1",
-                "--replications", "2", "--cache-dir", cache_dir]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert "2-seed replication" in capsys.readouterr().out
 
 
 class TestStudySharding:

@@ -41,7 +41,7 @@ class TestRepositoryDocs:
                         "simulation", "scenarios", "orchestration", "analysis"):
             assert f"{package}/" in text, f"ARCHITECTURE.md misses {package}/"
         # the PR seams and the lifecycle layer are called out
-        for anchor in ("EventKernel", "MetricsPipeline", "Study",
+        for anchor in ("HeapKernel", "MetricsPipeline", "Study",
                        "LifecycleDynamics", "lifecycle.py"):
             assert anchor in text
 

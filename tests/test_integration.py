@@ -8,8 +8,9 @@ absolute counts).
 import pytest
 
 from repro.analysis.stats import area_under_series, value_at_hour
+from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import compare_protocols, run_simulation, sweep_parameter
+from repro.simulation.runner import run_simulation
 
 HOUR = 3600.0
 
@@ -22,7 +23,14 @@ def small_paper_config():
 
 @pytest.fixture(scope="module")
 def comparison(small_paper_config):
-    return compare_protocols(small_paper_config)
+    result_set = Study.from_config(small_paper_config).protocols("dac", "ndac").run()
+    return {record.protocol: record.result for record in result_set}
+
+
+def swept(config, parameter, values):
+    """Live results of a one-axis study, keyed by the swept value."""
+    result_set = Study.from_config(config).sweep(parameter, values).run()
+    return {record.axis(parameter): record.result for record in result_set}
 
 
 class TestCapacityAmplification:
@@ -132,13 +140,13 @@ class TestParameterStudies:
         return SimulationConfig().scaled(0.02)
 
     def test_m4_slows_capacity_growth(self, tiny):
-        sweep = sweep_parameter(tiny, "probe_candidates", [4, 8])
+        sweep = swept(tiny, "probe_candidates", [4, 8])
         area4 = area_under_series(sweep[4].metrics.capacity_series)
         area8 = area_under_series(sweep[8].metrics.capacity_series)
         assert area4 < area8
 
     def test_m_beyond_8_has_diminishing_impact(self, tiny):
-        sweep = sweep_parameter(tiny, "probe_candidates", [4, 8, 16])
+        sweep = swept(tiny, "probe_candidates", [4, 8, 16])
         area4 = area_under_series(sweep[4].metrics.capacity_series)
         area8 = area_under_series(sweep[8].metrics.capacity_series)
         area16 = area_under_series(sweep[16].metrics.capacity_series)
@@ -146,7 +154,7 @@ class TestParameterStudies:
 
     def test_aggressive_retry_beats_heavy_backoff(self, tiny):
         # Figure 9: constant backoff achieves the highest admission rate.
-        sweep = sweep_parameter(tiny, "e_bkf", [1.0, 4.0])
+        sweep = swept(tiny, "e_bkf", [1.0, 4.0])
         final_1 = value_at_hour(
             sweep[1.0].metrics.overall_admission_rate_series, 144
         )
