@@ -26,17 +26,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import SeriesPoint
 from repro.simulation.runner import SimulationResult
 
-__all__ = ["ScalarSummary", "SeriesEnvelope", "ReplicatedResult"]
-
-
-class ScalarSummary(Aggregate):
-    """Mean and normal-approximation confidence half-width of a scalar.
-
-    Legacy name for :class:`~repro.orchestration.study.Aggregate` (the
-    shape :meth:`~repro.orchestration.study.ResultSet.aggregate`
-    returns); kept as a subclass so existing ``isinstance`` checks and
-    imports keep working.
-    """
+__all__ = ["SeriesEnvelope", "ReplicatedResult"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +49,9 @@ class ReplicatedResult:
 
     ``results`` may hold live
     :class:`~repro.simulation.runner.SimulationResult` objects or
-    cache-served :class:`~repro.orchestration.study.RunRecord` objects —
-    every accessor only touches the metrics interface the two share.
+    cache-served :class:`~repro.orchestration.study.RunRecord` objects;
+    both carry the same :class:`~repro.simulation.metrics.Metrics` view,
+    which is all the accessors read.
 
     The scalar summaries match what
     :meth:`repro.orchestration.study.ResultSet.aggregate` computes over
@@ -74,23 +65,23 @@ class ReplicatedResult:
     # ------------------------------------------------------------------
     def scalar(
         self, extract: Callable[[SimulationResult], float]
-    ) -> ScalarSummary:
+    ) -> Aggregate:
         """Aggregate any per-run scalar across the replications."""
         values = [extract(result) for result in self.results]
         mean, half = mean_confidence_interval(values)
-        return ScalarSummary(mean=mean, half_width=half, samples=tuple(values))
+        return Aggregate(mean=mean, half_width=half, samples=tuple(values))
 
-    def final_capacity(self) -> ScalarSummary:
+    def final_capacity(self) -> Aggregate:
         """Final Figure-4 capacity across seeds."""
         return self.scalar(lambda r: r.metrics.final_capacity())
 
-    def rejections_of_class(self, peer_class: int) -> ScalarSummary:
+    def rejections_of_class(self, peer_class: int) -> Aggregate:
         """Table-1 entry for one class across seeds."""
         return self.scalar(
             lambda r: r.metrics.mean_rejections_before_admission()[peer_class]
         )
 
-    def delay_of_class(self, peer_class: int) -> ScalarSummary:
+    def delay_of_class(self, peer_class: int) -> Aggregate:
         """Figure-6 endpoint for one class across seeds."""
         return self.scalar(
             lambda r: r.metrics.mean_buffering_delay_slots()[peer_class]

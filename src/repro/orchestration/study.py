@@ -21,11 +21,11 @@ repeated invocation is served without running a single simulation.
 
 Records carry full provenance (the exact configuration, the package
 version, wall time) plus every scalar and series the paper's reports
-consume.  :attr:`RunRecord.metrics` exposes the serialized metrics with
-the same accessors as a live
-:class:`~repro.simulation.metrics.MetricsCollector`, so the report
-renderers in :mod:`repro.analysis.report` work identically on a record
-loaded from cache and on a freshly computed result.
+consume.  :attr:`RunRecord.metrics` is the same
+:class:`~repro.simulation.metrics.Metrics` view a live
+:class:`~repro.simulation.runner.SimulationResult` holds, so the report
+renderers in :mod:`repro.analysis.report` read a record loaded from cache
+and a freshly computed result through one class.
 """
 
 from __future__ import annotations
@@ -46,188 +46,16 @@ from repro.errors import ConfigurationError
 from repro.orchestration.batch import run_batch
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.orchestration.store import ResultStore
     from repro.simulation.runner import SimulationResult
 
-__all__ = ["Aggregate", "RecordMetrics", "RunRecord", "ResultSet", "Study"]
+__all__ = ["Aggregate", "RunRecord", "ResultSet", "Study"]
 
 #: the JSON schema identifier stamped into every exported result set
 STUDY_SCHEMA = "repro.study.v1"
-
-_PLAIN_SERIES = (
-    "capacity_series",
-    "capacity_fractional_series",
-    "supplier_count_series",
-    "overall_admission_rate_series",
-)
-_CLASS_SERIES = (
-    "admission_rate_series",
-    "buffering_delay_series",
-    "favored_series",
-)
-_CLASS_COUNTERS = (
-    "first_requests",
-    "requests",
-    "rejections",
-    "admitted",
-    "reminders_left",
-    "supplier_departures",
-    "supplier_rejoins",
-)
-_CLASS_SCALARS = (
-    "mean_rejections_before_admission",
-    "mean_buffering_delay_slots",
-    "mean_waiting_seconds",
-    "admission_rate_percent",
-)
-#: class-keyed payload of the lifecycle extension's continuity probe —
-#: present only in records of lifecycle-enabled runs
-_CLASS_CONTINUITY = (
-    "interruptions",
-    "recovered_sessions",
-    "recovery_retries",
-    "sessions_lost",
-    "interrupted_completions",
-    "stall_seconds_sum",
-    "mean_recovery_latency_seconds",
-    "playback_continuity_index",
-)
-
-
-def _restore_metrics(data: dict) -> dict:
-    """Re-int the class keys JSON stringified in a metrics payload."""
-    restored = dict(data)
-    keyed = _CLASS_COUNTERS + _CLASS_SCALARS + _CLASS_SERIES + _CLASS_CONTINUITY
-    for name in keyed:
-        if name in restored:
-            restored[name] = {int(c): v for c, v in restored[name].items()}
-    return restored
-
-
-class RecordMetrics:
-    """Read-only view over a record's serialized metrics payload.
-
-    Mirrors the accessors of a live
-    :class:`~repro.simulation.metrics.MetricsCollector` (series of
-    :class:`SeriesPoint`, per-class counter dicts, derived-scalar
-    methods), so report renderers and downstream analysis accept a
-    :class:`RunRecord` anywhere they accept a simulation result.
-    """
-
-    def __init__(self, data: dict) -> None:
-        self._data = data
-
-    # ---- series ------------------------------------------------------
-    def _series(self, name: str) -> list[SeriesPoint]:
-        return [SeriesPoint(float(h), float(v)) for h, v in self._data[name]]
-
-    def _class_series(self, name: str) -> dict[int, list[SeriesPoint]]:
-        return {
-            int(c): [SeriesPoint(float(h), float(v)) for h, v in points]
-            for c, points in self._data[name].items()
-        }
-
-    @property
-    def capacity_series(self) -> list[SeriesPoint]:
-        """Figure-4 capacity samples."""
-        return self._series("capacity_series")
-
-    @property
-    def capacity_fractional_series(self) -> list[SeriesPoint]:
-        """Fractional (bandwidth-unit) capacity samples."""
-        return self._series("capacity_fractional_series")
-
-    @property
-    def supplier_count_series(self) -> list[SeriesPoint]:
-        """Supplier head-count samples."""
-        return self._series("supplier_count_series")
-
-    @property
-    def overall_admission_rate_series(self) -> list[SeriesPoint]:
-        """Figure-9 overall cumulative admission rate samples."""
-        return self._series("overall_admission_rate_series")
-
-    @property
-    def admission_rate_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-5 per-class cumulative admission rate samples."""
-        return self._class_series("admission_rate_series")
-
-    @property
-    def buffering_delay_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-6 per-class cumulative buffering delay samples."""
-        return self._class_series("buffering_delay_series")
-
-    @property
-    def favored_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-7 lowest-favored-class snapshots."""
-        return self._class_series("favored_series")
-
-    # ---- counters and derived scalars --------------------------------
-    def _class_map(self, name: str) -> dict[int, float]:
-        return {int(c): v for c, v in self._data[name].items()}
-
-    def _classes(self) -> list[int]:
-        """The class labels of this record (the counters always carry them)."""
-        return [int(c) for c in self._data["admitted"]]
-
-    def __getattr__(self, name: str):
-        if name in _CLASS_COUNTERS:
-            return self._class_map(name)
-        if name in _CLASS_CONTINUITY:
-            # records of lifecycle-free runs carry no continuity payload;
-            # mirror the live pipeline's zeros for unsubscribed probes
-            if name in self._data:
-                return self._class_map(name)
-            return {c: 0 for c in self._classes()}
-        raise AttributeError(name)
-
-    # ---- continuity (lifecycle extension; mirrors the live pipeline) --
-    @property
-    def continuity_series(self) -> list[SeriesPoint]:
-        """Hourly mean playback continuity index (empty without the probe)."""
-        if "continuity_series" not in self._data:
-            return []
-        return self._series("continuity_series")
-
-    def mean_recovery_latency_seconds(self) -> dict[int, float]:
-        """Per-class mean interruption-to-re-admission latency."""
-        if "mean_recovery_latency_seconds" in self._data:
-            return self._class_map("mean_recovery_latency_seconds")
-        return {c: float("nan") for c in self._classes()}
-
-    def playback_continuity_index(self) -> dict[int, float]:
-        """Per-class mean playback continuity index (1.0 = stall-free)."""
-        if "playback_continuity_index" in self._data:
-            return self._class_map("playback_continuity_index")
-        return {c: float("nan") for c in self._classes()}
-
-    def mean_rejections_before_admission(self) -> dict[int, float]:
-        """Table 1: per-class mean rejections suffered before admission."""
-        return self._class_map("mean_rejections_before_admission")
-
-    def mean_buffering_delay_slots(self) -> dict[int, float]:
-        """Final per-class mean buffering delay (Figure 6 endpoint)."""
-        return self._class_map("mean_buffering_delay_slots")
-
-    def mean_waiting_seconds(self) -> dict[int, float]:
-        """Per-class mean waiting time from first request to admission."""
-        return self._class_map("mean_waiting_seconds")
-
-    def admission_rate_percent(self) -> dict[int, float]:
-        """Final per-class cumulative admission rate (Figure 5 endpoint)."""
-        return self._class_map("admission_rate_percent")
-
-    def final_capacity(self) -> float:
-        """Last Figure-4 sample (sessions)."""
-        series = self._data["capacity_series"]
-        return float(series[-1][1]) if series else 0.0
-
-    def to_dict(self) -> dict:
-        """The underlying JSON-ready payload."""
-        return self._data
 
 
 @dataclass(frozen=True)
@@ -329,9 +157,9 @@ class RunRecord:
 
     # ---- result-like accessors (duck-compatible with SimulationResult)
     @property
-    def metrics(self) -> RecordMetrics:
-        """Metrics view with the live collector's accessors."""
-        return RecordMetrics(self.metrics_data)
+    def metrics(self) -> Metrics:
+        """The same metrics view a live simulation result holds."""
+        return Metrics(self.metrics_data)
 
     @property
     def max_capacity(self) -> int:
@@ -370,7 +198,7 @@ class RunRecord:
             axes=tuple((str(name), value) for name, value in data.get("axes", ())),
             config_data=dict(data["config"]),
             scalars={str(k): float(v) for k, v in data["scalars"].items()},
-            metrics_data=_restore_metrics(data["metrics"]),
+            metrics_data=Metrics.from_json(data["metrics"]).to_dict(),
             message_stats=dict(data["message_stats"])
             if data.get("message_stats") is not None
             else None,
@@ -688,12 +516,18 @@ class Study:
         """Replicate every grid point over several master seeds.
 
         An ``int`` derives that many seeds from each point's base seed
-        (``base + i * stride``); an iterable gives explicit seeds.
+        (``base + i * stride``, ``stride >= 1``); an iterable gives
+        explicit, distinct seeds.
         """
         if isinstance(count_or_seeds, int):
             if count_or_seeds < 1:
                 raise ValueError(
                     f"need at least one seed, got {count_or_seeds}"
+                )
+            if stride < 1:
+                raise ConfigurationError(
+                    f"seed stride must be at least 1, got {stride}; a "
+                    "smaller stride repeats or reorders seeds"
                 )
             self._seed_count = count_or_seeds
             self._seed_stride = stride

@@ -17,8 +17,10 @@ simulated system over 144 hours.  This package is that simulator:
 * :mod:`repro.simulation.samplers` — the periodic metric samplers;
 * :mod:`repro.simulation.system` — the facade wiring the three
   subsystems over the shared substrates;
-* :mod:`repro.simulation.metrics` — every collector behind Figures 4–9 and
-  Table 1;
+* :mod:`repro.simulation.probes` — the write-only metrics pipeline, one
+  probe per figure or table;
+* :mod:`repro.simulation.metrics` — :class:`~repro.simulation.metrics.Metrics`,
+  the one read view behind Figures 4–9 and Table 1;
 * :mod:`repro.simulation.runner` — one-call experiment execution;
 * :mod:`repro.simulation.trace` — optional structured event traces.
 """

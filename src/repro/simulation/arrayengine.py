@@ -52,7 +52,7 @@ leaving the power-of-two lattice, so this engine refuses it
 (:class:`~repro.errors.ConfigurationError`); use the object engine there.
 
 Everything that is *not* per-peer or per-event hot state is reused from
-the object engine unchanged: :class:`MetricsCollector`,
+the object engine unchanged: :class:`MetricsPipeline`,
 :class:`CapacityLedger`, :class:`Transport`, the lookup substrates, the
 lifecycle models, ``plan_session`` and the backoff/reminder math.
 """
@@ -79,8 +79,8 @@ from repro.simulation.arraystate import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import make_lifecycle
-from repro.simulation.metrics import MetricsCollector
-from repro.simulation.probes import DEFAULT_PROBES
+from repro.simulation.metrics import Metrics
+from repro.simulation.probes import DEFAULT_PROBES, MetricsPipeline
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.trace import TraceRecorder
 from repro.streaming.session import plan_session
@@ -120,7 +120,8 @@ class ArrayEngine:
     Construction mirrors ``StreamingSystem.__init__`` step for step —
     the wiring order fixes RNG draws and initial sequence numbers, and is
     therefore part of the parity contract.  :meth:`run` executes the
-    event loop and returns the shared :class:`MetricsCollector`.
+    event loop and returns a :class:`~repro.simulation.metrics.Metrics`
+    view of the shared :class:`MetricsPipeline`'s payload.
 
     ``__slots__`` because every event handler reads several engine
     attributes: slot access skips the instance-dict probe, which is
@@ -221,7 +222,7 @@ class ArrayEngine:
         probes = config.probes
         if config.lifecycle != "none" and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
-        self.metrics = MetricsCollector(ladder, probes=probes)
+        self.metrics = MetricsPipeline(ladder, probes=probes)
         self.ledger = CapacityLedger(ladder)
         self.transport = Transport() if config.track_messages else None
 
@@ -384,7 +385,7 @@ class ArrayEngine:
     # ------------------------------------------------------------------
     # the run loop
     # ------------------------------------------------------------------
-    def run(self) -> MetricsCollector:
+    def run(self) -> Metrics:
         """Dispatch every event through the horizon; returns the metrics."""
         heap = self._heap
         times = self._arrival_times
@@ -407,7 +408,7 @@ class ArrayEngine:
                 gc.enable()
         if self.now < horizon:
             self.now = horizon
-        return self.metrics
+        return Metrics(self.metrics.to_dict())
 
     def _dispatch_all(
         self,

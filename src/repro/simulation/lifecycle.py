@@ -78,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.simulation.config import SimulationConfig
     from repro.simulation.engine import Simulator
     from repro.simulation.entities import SimPeer
-    from repro.simulation.metrics import MetricsCollector
+    from repro.simulation.probes import MetricsPipeline
     from repro.simulation.registry import SupplierRegistry
     from repro.simulation.requestpath import RequestPath
     from repro.simulation.trace import TraceRecorder
@@ -370,7 +370,7 @@ class LifecycleDynamics:
         sim: "Simulator",
         config: "SimulationConfig",
         model: LifecycleModel,
-        metrics: "MetricsCollector",
+        metrics: "MetricsPipeline",
         ledger,
         lookup,
         registry: "SupplierRegistry",

@@ -32,9 +32,13 @@ increment each, nearly every probe derives from them, and the admission
 *rate* artifacts need them even when every optional accumulator is off.
 
 All cumulative series sample *state so far*, matching the paper's
-"accumulative" plots.  With every probe enabled (the default), the
-pipeline is event-for-event identical to the historical monolithic
-``MetricsCollector`` — which is now a thin alias over this class.
+"accumulative" plots.
+
+The pipeline is write-only: event hooks and samplers go in, and
+:meth:`MetricsPipeline.to_dict` is the one thing that comes out.  That
+payload's vocabulary (:data:`COUNTER_KEYS`, :data:`MEAN_KEYS`,
+:data:`CLASS_KEYED_KEYS`, ...) is defined here, next to the probes that
+write it; every read goes through :class:`repro.simulation.metrics.Metrics`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ __all__ = [
     "MetricsPipeline",
     "PROBE_NAMES",
     "DEFAULT_PROBES",
+    "COUNTER_KEYS",
+    "CONTINUITY_COUNTER_ZEROS",
+    "MEAN_KEYS",
+    "CLASS_KEYED_KEYS",
 ]
 
 HOUR = 3600.0
@@ -73,6 +81,11 @@ class SeriesPoint:
 
     hour: float
     value: float
+
+
+def _means(sums: dict[int, float], counts: dict[int, int]) -> dict[int, float]:
+    """Per-class ``sums / counts``; NaN for a class with a zero count."""
+    return {c: sums[c] / counts[c] if counts[c] else float("nan") for c in sums}
 
 
 class Probe:
@@ -167,10 +180,6 @@ class CapacityProbe(Probe):
         self.supplier_count_series.append(
             SeriesPoint(hour, float(ledger.num_suppliers))
         )
-
-    def final_capacity(self) -> float:
-        """Last Figure-4 sample (sessions)."""
-        return self.capacity_series[-1].value if self.capacity_series else 0.0
 
     def export(self) -> dict:
         def dump(series: list[SeriesPoint]) -> list[tuple[float, float]]:
@@ -271,24 +280,15 @@ class BufferingDelayProbe(Probe):
                 mean = self.buffering_delay_slots_sum[peer_class] / count
                 series.append(SeriesPoint(hour, mean))
 
-    def mean_buffering_delay_slots(self) -> dict[int, float]:
-        """Final per-class mean buffering delay (Figure 6 endpoint)."""
-        admitted = self.pipeline.admitted
-        return {
-            c: (
-                self.buffering_delay_slots_sum[c] / admitted[c]
-                if admitted[c]
-                else float("nan")
-            )
-            for c in self.ladder.classes
-        }
-
     def export(self) -> dict:
         return {
+            "mean_buffering_delay_slots": _means(
+                self.buffering_delay_slots_sum, self.pipeline.admitted
+            ),
             "buffering_delay_series": {
                 c: [(p.hour, p.value) for p in series]
                 for c, series in self.buffering_delay_series.items()
-            }
+            },
         }
 
 
@@ -329,17 +329,13 @@ class FavoredClassProbe(Probe):
 
 
 class Table1Probe(Probe):
-    """Table 1: mean rejections suffered before admission (and the
-    suppliers-per-session mean that shares its accumulator)."""
+    """Table 1: mean rejections suffered before admission."""
 
     name = "table1"
 
     def bind(self, pipeline: "MetricsPipeline") -> None:
         super().bind(pipeline)
         self.rejections_before_admission_sum: dict[int, int] = {
-            c: 0 for c in self.ladder.classes
-        }
-        self.suppliers_per_session_sum: dict[int, int] = {
             c: 0 for c in self.ladder.classes
         }
 
@@ -352,18 +348,12 @@ class Table1Probe(Probe):
         waiting_seconds: float,
     ) -> None:
         self.rejections_before_admission_sum[peer_class] += rejections_before
-        self.suppliers_per_session_sum[peer_class] += num_suppliers
 
-    def mean_rejections_before_admission(self) -> dict[int, float]:
-        """Table 1: per-class mean rejections suffered before admission."""
-        admitted = self.pipeline.admitted
+    def export(self) -> dict:
         return {
-            c: (
-                self.rejections_before_admission_sum[c] / admitted[c]
-                if admitted[c]
-                else float("nan")
+            "mean_rejections_before_admission": _means(
+                self.rejections_before_admission_sum, self.pipeline.admitted
             )
-            for c in self.ladder.classes
         }
 
 
@@ -388,16 +378,11 @@ class WaitingTimeProbe(Probe):
     ) -> None:
         self.waiting_seconds_sum[peer_class] += waiting_seconds
 
-    def mean_waiting_seconds(self) -> dict[int, float]:
-        """Per-class mean waiting time from first request to admission."""
-        admitted = self.pipeline.admitted
+    def export(self) -> dict:
         return {
-            c: (
-                self.waiting_seconds_sum[c] / admitted[c]
-                if admitted[c]
-                else float("nan")
+            "mean_waiting_seconds": _means(
+                self.waiting_seconds_sum, self.pipeline.admitted
             )
-            for c in self.ladder.classes
         }
 
 
@@ -478,39 +463,17 @@ class ContinuityProbe(Probe):
             mean = sum(self.continuity_sum.values()) / completed
             self.continuity_series.append(SeriesPoint(now_seconds / HOUR, mean))
 
-    # ---- derived -----------------------------------------------------
-    def mean_recovery_latency_seconds(self) -> dict[int, float]:
-        """Per-class mean seconds from interruption to re-admission."""
-        return {
-            c: (
-                self.recovery_latency_sum[c] / self.recovered_sessions[c]
-                if self.recovered_sessions[c]
-                else float("nan")
-            )
-            for c in self.ladder.classes
-        }
-
-    def playback_continuity_index(self) -> dict[int, float]:
-        """Per-class mean continuity index over completed sessions."""
-        return {
-            c: (
-                self.continuity_sum[c] / self.completed_sessions[c]
-                if self.completed_sessions[c]
-                else float("nan")
-            )
-            for c in self.ladder.classes
-        }
-
     def export(self) -> dict:
-        return {
-            "interruptions": dict(self.interruptions),
-            "recovered_sessions": dict(self.recovered_sessions),
-            "recovery_retries": dict(self.recovery_retries),
-            "sessions_lost": dict(self.sessions_lost),
-            "interrupted_completions": dict(self.interrupted_completions),
-            "stall_seconds_sum": dict(self.stall_seconds_sum),
-            "mean_recovery_latency_seconds": self.mean_recovery_latency_seconds(),
-            "playback_continuity_index": self.playback_continuity_index(),
+        payload: dict = {
+            key: dict(getattr(self, key)) for key in CONTINUITY_COUNTER_ZEROS
+        }
+        return payload | {
+            "mean_recovery_latency_seconds": _means(
+                self.recovery_latency_sum, self.recovered_sessions
+            ),
+            "playback_continuity_index": _means(
+                self.continuity_sum, self.completed_sessions
+            ),
             "continuity_series": [
                 (p.hour, p.value) for p in self.continuity_series
             ],
@@ -551,6 +514,39 @@ DEFAULT_PROBES: tuple[str, ...] = (
     "waiting",
 )
 
+# ---- the payload vocabulary of MetricsPipeline.to_dict ----------------
+#: per-class event counters of the pipeline core (always exported)
+COUNTER_KEYS: tuple[str, ...] = (
+    "first_requests",
+    "requests",
+    "rejections",
+    "admitted",
+    "reminders_left",
+    "supplier_departures",
+    "supplier_rejoins",
+)
+#: per-class counters of the continuity probe, exported only while it is
+#: subscribed, with the zero each one reads as otherwise
+CONTINUITY_COUNTER_ZEROS: dict[str, int | float] = {
+    "interruptions": 0,
+    "recovered_sessions": 0,
+    "recovery_retries": 0,
+    "sessions_lost": 0,
+    "interrupted_completions": 0,
+    "stall_seconds_sum": 0.0,
+}
+#: the means the table1, buffering_delay and waiting probes export
+_PROBE_MEAN_KEYS = (
+    "mean_rejections_before_admission",
+    "mean_buffering_delay_slots",
+    "mean_waiting_seconds",
+)
+#: per-class means; NaN for a class without samples or an unsubscribed probe
+MEAN_KEYS: tuple[str, ...] = _PROBE_MEAN_KEYS + (
+    "admission_rate_percent",
+    "mean_recovery_latency_seconds",
+    "playback_continuity_index",
+)
 #: series keys every export carries (empty when the probe is unsubscribed),
 #: so records and downstream schemas stay total over probe subsets
 _PLAIN_SERIES_KEYS = (
@@ -563,6 +559,11 @@ _CLASS_SERIES_KEYS = (
     "admission_rate_series",
     "buffering_delay_series",
     "favored_series",
+)
+#: every payload entry keyed by peer class (JSON turns those keys into
+#: strings, so a decoded payload re-ints exactly these)
+CLASS_KEYED_KEYS: tuple[str, ...] = (
+    COUNTER_KEYS + tuple(CONTINUITY_COUNTER_ZEROS) + MEAN_KEYS + _CLASS_SERIES_KEYS
 )
 
 
@@ -584,9 +585,9 @@ class MetricsPipeline:
 
     ``probes=None`` subscribes the full paper evaluation
     (:data:`DEFAULT_PROBES`); a tuple of names subscribes exactly those.
-    The pipeline exposes the same attribute/method surface as the
-    historical monolithic collector — series and accumulators of
-    unsubscribed probes read as empty (series) or NaN (means).
+    The pipeline only collects: read a run through
+    :class:`~repro.simulation.metrics.Metrics` over :meth:`to_dict`, where
+    unsubscribed probes read as empty series and NaN means.
     """
 
     def __init__(
@@ -753,187 +754,6 @@ class MetricsPipeline:
         for hook in self._favored_hooks:
             hook(now_seconds, lowest_favored_by_class)
 
-    # ------------------------------------------------------------------
-    # probe state, exposed with the historical collector attribute names
-    # ------------------------------------------------------------------
-    def _probe_attr(self, name: str, attribute: str, empty):
-        probe = self.probes.get(name)
-        if probe is None:
-            return empty() if callable(empty) else empty
-        return getattr(probe, attribute)
-
-    def _empty_class_map(self) -> dict[int, list]:
-        return {c: [] for c in self.ladder.classes}
-
-    @property
-    def capacity_series(self) -> list[SeriesPoint]:
-        """Figure-4 capacity samples."""
-        return self._probe_attr("capacity", "capacity_series", list)
-
-    @property
-    def capacity_fractional_series(self) -> list[SeriesPoint]:
-        """Fractional (bandwidth-unit) capacity samples."""
-        return self._probe_attr("capacity", "capacity_fractional_series", list)
-
-    @property
-    def supplier_count_series(self) -> list[SeriesPoint]:
-        """Supplier head-count samples."""
-        return self._probe_attr("capacity", "supplier_count_series", list)
-
-    @property
-    def admission_rate_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-5 per-class cumulative admission rate samples."""
-        return self._probe_attr(
-            "admission_rate", "admission_rate_series", self._empty_class_map
-        )
-
-    @property
-    def overall_admission_rate_series(self) -> list[SeriesPoint]:
-        """Figure-9 overall cumulative admission rate samples."""
-        return self._probe_attr(
-            "overall_admission", "overall_admission_rate_series", list
-        )
-
-    @property
-    def buffering_delay_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-6 per-class cumulative buffering delay samples."""
-        return self._probe_attr(
-            "buffering_delay", "buffering_delay_series", self._empty_class_map
-        )
-
-    @property
-    def favored_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-7 lowest-favored-class snapshots."""
-        return self._probe_attr("favored", "favored_series", self._empty_class_map)
-
-    @property
-    def rejections_before_admission_sum(self) -> dict[int, int]:
-        """Table-1 accumulator (zeros when the probe is unsubscribed)."""
-        return self._probe_attr(
-            "table1",
-            "rejections_before_admission_sum",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def suppliers_per_session_sum(self) -> dict[int, int]:
-        """Suppliers-per-session accumulator (shared with Table 1)."""
-        return self._probe_attr(
-            "table1",
-            "suppliers_per_session_sum",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def buffering_delay_slots_sum(self) -> dict[int, int]:
-        """Figure-6 accumulator (zeros when the probe is unsubscribed)."""
-        return self._probe_attr(
-            "buffering_delay",
-            "buffering_delay_slots_sum",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def waiting_seconds_sum(self) -> dict[int, float]:
-        """Waiting-time accumulator (zeros when the probe is unsubscribed)."""
-        return self._probe_attr(
-            "waiting",
-            "waiting_seconds_sum",
-            lambda: {c: 0.0 for c in self.ladder.classes},
-        )
-
-    @property
-    def interruptions(self) -> dict[int, int]:
-        """Stalls begun by mid-stream departures (continuity probe)."""
-        return self._probe_attr(
-            "continuity",
-            "interruptions",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def recovered_sessions(self) -> dict[int, int]:
-        """Interrupted sessions re-admitted and resumed (continuity probe)."""
-        return self._probe_attr(
-            "continuity",
-            "recovered_sessions",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def sessions_lost(self) -> dict[int, int]:
-        """Interrupted sessions lost for good (continuity probe)."""
-        return self._probe_attr(
-            "continuity",
-            "sessions_lost",
-            lambda: {c: 0 for c in self.ladder.classes},
-        )
-
-    @property
-    def stall_seconds_sum(self) -> dict[int, float]:
-        """Total stall time of recovered stalls (continuity probe)."""
-        return self._probe_attr(
-            "continuity",
-            "stall_seconds_sum",
-            lambda: {c: 0.0 for c in self.ladder.classes},
-        )
-
-    @property
-    def continuity_series(self) -> list[SeriesPoint]:
-        """Hourly mean playback continuity index (continuity probe)."""
-        return self._probe_attr("continuity", "continuity_series", list)
-
-    # ------------------------------------------------------------------
-    # derived results
-    # ------------------------------------------------------------------
-    def _nan_map(self) -> dict[int, float]:
-        return {c: float("nan") for c in self.ladder.classes}
-
-    def mean_rejections_before_admission(self) -> dict[int, float]:
-        """Table 1: per-class mean rejections suffered before admission."""
-        probe = self.probes.get("table1")
-        return probe.mean_rejections_before_admission() if probe else self._nan_map()
-
-    def mean_buffering_delay_slots(self) -> dict[int, float]:
-        """Final per-class mean buffering delay (Figure 6 endpoint)."""
-        probe = self.probes.get("buffering_delay")
-        return probe.mean_buffering_delay_slots() if probe else self._nan_map()
-
-    def mean_waiting_seconds(self) -> dict[int, float]:
-        """Per-class mean waiting time from first request to admission."""
-        probe = self.probes.get("waiting")
-        return probe.mean_waiting_seconds() if probe else self._nan_map()
-
-    def mean_recovery_latency_seconds(self) -> dict[int, float]:
-        """Per-class mean interruption-to-re-admission latency."""
-        probe = self.probes.get("continuity")
-        return probe.mean_recovery_latency_seconds() if probe else self._nan_map()
-
-    def playback_continuity_index(self) -> dict[int, float]:
-        """Per-class mean playback continuity index (1.0 = stall-free)."""
-        probe = self.probes.get("continuity")
-        return probe.playback_continuity_index() if probe else self._nan_map()
-
-    def admission_rate_percent(self) -> dict[int, float]:
-        """Final per-class cumulative admission rate (Figure 5 endpoint).
-
-        Derived from the always-on counters, so it is available under any
-        probe subscription.
-        """
-        return {
-            c: (
-                100.0 * self.admitted[c] / self.first_requests[c]
-                if self.first_requests[c]
-                else float("nan")
-            )
-            for c in self.ladder.classes
-        }
-
-    def final_capacity(self) -> float:
-        """Last Figure-4 sample (sessions); 0.0 without the capacity probe."""
-        probe = self.probes.get("capacity")
-        return probe.final_capacity() if probe else 0.0
-
     def to_dict(self) -> dict:
         """JSON-friendly dump of every counter and series.
 
@@ -943,25 +763,26 @@ class MetricsPipeline:
         means.  The one exception is the opt-in lifecycle ``continuity``
         probe: its keys (``interruptions``, ``continuity_series``, ...)
         appear only when it is subscribed, so lifecycle-free exports
-        remain byte-compatible with the historical collector's.
+        keep the paper-evaluation schema byte for byte.
         """
-        payload: dict = {
-            "first_requests": dict(self.first_requests),
-            "requests": dict(self.requests),
-            "rejections": dict(self.rejections),
-            "admitted": dict(self.admitted),
-            "reminders_left": dict(self.reminders_left),
-            "supplier_departures": dict(self.supplier_departures),
-            "supplier_rejoins": dict(self.supplier_rejoins),
-            "mean_rejections_before_admission": self.mean_rejections_before_admission(),
-            "mean_buffering_delay_slots": self.mean_buffering_delay_slots(),
-            "mean_waiting_seconds": self.mean_waiting_seconds(),
-            "admission_rate_percent": self.admission_rate_percent(),
+        classes = self.ladder.classes
+        payload: dict = {key: dict(getattr(self, key)) for key in COUNTER_KEYS}
+        # NaN placeholders; a subscribed probe's export overwrites its own
+        # in place, so the key order never depends on the subscription
+        for key in _PROBE_MEAN_KEYS:
+            payload[key] = {c: float("nan") for c in classes}
+        payload["admission_rate_percent"] = {
+            c: (
+                100.0 * self.admitted[c] / self.first_requests[c]
+                if self.first_requests[c]
+                else float("nan")
+            )
+            for c in classes
         }
         for key in _PLAIN_SERIES_KEYS:
             payload[key] = []
         for key in _CLASS_SERIES_KEYS:
-            payload[key] = {c: [] for c in self.ladder.classes}
+            payload[key] = {c: [] for c in classes}
         for probe in self.probes.values():
             payload.update(probe.export())
         return payload

@@ -40,7 +40,7 @@ from repro.simulation.churn import NoChurn
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.registry import SupplierRegistry
 from repro.simulation.trace import TraceRecorder
@@ -62,7 +62,7 @@ class RequestPath:
         config: SimulationConfig,
         policy,
         streams: RandomStreams,
-        metrics: MetricsCollector,
+        metrics: MetricsPipeline,
         peers: list[SimPeer],
         lookup,
         transport,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.capacity import max_capacity_sessions
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import Metrics
 from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
@@ -25,7 +25,7 @@ class SimulationResult:
     """Everything one simulation run produced."""
 
     config: SimulationConfig
-    metrics: MetricsCollector
+    metrics: Metrics
     events_processed: int
     wall_seconds: float
     message_stats: dict[str, float] | None

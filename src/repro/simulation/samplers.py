@@ -2,7 +2,7 @@
 
 :class:`Samplers` drives the three measurement clocks of a run — the
 hourly capacity and rate samples and the 3-hourly favored-class snapshot —
-feeding the :class:`~repro.simulation.metrics.MetricsCollector` that backs
+feeding the :class:`~repro.simulation.probes.MetricsPipeline` that backs
 Figures 4–9.  Sampling is pure observation: nothing here mutates protocol
 state, so the subsystem can be rewired or silenced without changing a
 run's dynamics (only its recorded series).
@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.capacity import CapacityLedger
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.registry import SupplierRegistry
 
 __all__ = ["Samplers"]
@@ -30,7 +30,7 @@ class Samplers:
         *,
         sim: Simulator,
         config: SimulationConfig,
-        metrics: MetricsCollector,
+        metrics: MetricsPipeline,
         ledger: CapacityLedger,
         registry: SupplierRegistry,
     ) -> None:

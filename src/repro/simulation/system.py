@@ -38,8 +38,8 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer, build_population
 from repro.simulation.lifecycle import LifecycleDynamics, make_lifecycle
-from repro.simulation.metrics import MetricsCollector
-from repro.simulation.probes import DEFAULT_PROBES
+from repro.simulation.metrics import Metrics
+from repro.simulation.probes import DEFAULT_PROBES, MetricsPipeline
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.registry import SupplierRegistry
 from repro.simulation.requestpath import RequestPath
@@ -66,7 +66,7 @@ class StreamingSystem:
         probes = config.probes
         if config.lifecycle != "none" and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
-        self.metrics = MetricsCollector(self.ladder, probes=probes)
+        self.metrics = MetricsPipeline(self.ladder, probes=probes)
         self.ledger = CapacityLedger(self.ladder)
         self.trace = trace
 
@@ -141,10 +141,10 @@ class StreamingSystem:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self) -> MetricsCollector:
-        """Run the simulation to the configured horizon; returns metrics."""
+    def run(self) -> Metrics:
+        """Run the simulation to the configured horizon; returns its metrics."""
         self.sim.run(until=self.config.horizon_seconds)
-        return self.metrics
+        return Metrics(self.metrics.to_dict())
 
     # ------------------------------------------------------------------
     # inspection helpers (used by tests and examples)

@@ -9,7 +9,10 @@ from repro.errors import ConfigurationError
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.orchestration.store import ResultStore
 from repro.orchestration.study import RunRecord, Study
+from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
+from repro.simulation.metrics import SeriesPoint
+from repro.simulation.runner import run_simulation
 
 
 def small_config(**overrides):
@@ -21,6 +24,42 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+#: every public accessor of repro.simulation.metrics.Metrics
+METRICS_SERIES = (
+    "capacity_series",
+    "capacity_fractional_series",
+    "supplier_count_series",
+    "overall_admission_rate_series",
+    "continuity_series",
+    "admission_rate_series",
+    "buffering_delay_series",
+    "favored_series",
+)
+METRICS_COUNTERS = (
+    "first_requests",
+    "requests",
+    "rejections",
+    "admitted",
+    "reminders_left",
+    "supplier_departures",
+    "supplier_rejoins",
+    "interruptions",
+    "recovered_sessions",
+    "recovery_retries",
+    "sessions_lost",
+    "interrupted_completions",
+    "stall_seconds_sum",
+)
+METRICS_MEANS = (
+    "mean_rejections_before_admission",
+    "mean_buffering_delay_slots",
+    "mean_waiting_seconds",
+    "admission_rate_percent",
+    "mean_recovery_latency_seconds",
+    "playback_continuity_index",
+)
 
 
 TINY_POPULATION = dict(
@@ -127,6 +166,12 @@ class TestStudyValidation:
         with pytest.raises(ValueError):
             Study.from_config(small_config()).seeds(0)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_seed_stride_below_one_rejected(self, stride):
+        # stride 0 would expand to copies of one spec (one spec hash)
+        with pytest.raises(ConfigurationError, match="stride"):
+            Study.from_scenario("quickstart").seeds(3, stride=stride)
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError):
             Study.from_config(small_config()).override(nonexistent_knob=9)
@@ -150,19 +195,41 @@ class TestStudyRun:
             r.fingerprint() for r in parallel
         ]
 
-    def test_metrics_view_matches_live_collector(self):
-        record = Study.from_config(small_config()).run()[0]
-        live = record.result.metrics
-        view = record.metrics
-        assert view.final_capacity() == live.final_capacity()
-        assert view.admitted == live.admitted
-        assert (
-            view.mean_rejections_before_admission()
-            == live.mean_rejections_before_admission()
-        )
-        assert [
-            (p.hour, p.value) for p in view.capacity_series
-        ] == [(p.hour, p.value) for p in live.capacity_series]
+    @pytest.mark.parametrize(
+        "scenario", ["quickstart", "flash_departure", "metropolis_100k"]
+    )
+    def test_metrics_accessors_live_vs_cached(self, scenario):
+        """Every public accessor reads alike on a live result and on its
+        record after a JSON round trip — values and value types, NaN
+        equal to NaN."""
+        config = get_scenario(scenario).build_config(scale=0.02)
+        result = run_simulation(config)
+        record = RunRecord.from_result(RunSpec(config), result)
+        live = result.metrics
+        view = RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))).metrics
+
+        def same(a, b):
+            assert type(a) is type(b)
+            if isinstance(a, dict):
+                assert list(a) == list(b)
+                for key in a:
+                    same(a[key], b[key])
+            elif isinstance(a, list):
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    same(x, y)
+            elif isinstance(a, SeriesPoint):
+                same(a.hour, b.hour)
+                same(a.value, b.value)
+            elif isinstance(a, float) and math.isnan(a):
+                assert math.isnan(b)
+            else:
+                assert a == b
+
+        for name in METRICS_SERIES + METRICS_COUNTERS:
+            same(getattr(live, name), getattr(view, name))
+        for name in METRICS_MEANS + ("final_capacity",):
+            same(getattr(live, name)(), getattr(view, name)())
 
 
 class TestRunRecordRoundTrip:

@@ -114,7 +114,7 @@ class TestRoundTrip:
         system.sim.run(until=10.0)
         assert system.sim.now == 10.0
         # t=0 samplers ran, so every scenario produces a live metrics feed
-        assert system.metrics.capacity_series
+        assert system.metrics.to_dict()["capacity_series"]
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_configs_are_deterministic(self, name):

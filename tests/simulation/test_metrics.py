@@ -1,4 +1,4 @@
-"""Unit tests for the metrics collectors."""
+"""Unit tests for the metrics pipeline, read through the ``Metrics`` view."""
 
 import math
 
@@ -6,12 +6,17 @@ import pytest
 
 from repro.core.capacity import CapacityLedger
 from repro.core.model import ClassLadder
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import Metrics
+from repro.simulation.probes import MetricsPipeline
 
 
 @pytest.fixture
 def collector(ladder):
-    return MetricsCollector(ladder)
+    return MetricsPipeline(ladder)
+
+
+def view(pipeline: MetricsPipeline) -> Metrics:
+    return Metrics(pipeline.to_dict())
 
 
 class TestCounters:
@@ -33,14 +38,16 @@ class TestCounters:
             2, rejections_before=1, num_suppliers=2,
             buffering_delay_slots=2, waiting_seconds=600.0,
         )
-        assert collector.mean_rejections_before_admission()[2] == 2.0
-        assert collector.mean_buffering_delay_slots()[2] == 3.0
-        assert collector.mean_waiting_seconds()[2] == 1200.0
-        assert collector.admission_rate_percent()[2] == 100.0
+        metrics = view(collector)
+        assert metrics.mean_rejections_before_admission()[2] == 2.0
+        assert metrics.mean_buffering_delay_slots()[2] == 3.0
+        assert metrics.mean_waiting_seconds()[2] == 1200.0
+        assert metrics.admission_rate_percent()[2] == 100.0
 
     def test_unadmitted_class_reports_nan(self, collector):
-        assert math.isnan(collector.mean_rejections_before_admission()[1])
-        assert math.isnan(collector.admission_rate_percent()[1])
+        metrics = view(collector)
+        assert math.isnan(metrics.mean_rejections_before_admission()[1])
+        assert math.isnan(metrics.admission_rate_percent()[1])
 
     def test_reminders_counted_by_class(self, collector):
         collector.on_reminder(1)
@@ -55,32 +62,35 @@ class TestSampling:
         ledger.add_supplier(1)
         ledger.add_supplier(1)
         collector.sample_capacity(3600.0, ledger)
-        assert [(p.hour, p.value) for p in collector.capacity_series] == [
+        metrics = view(collector)
+        assert [(p.hour, p.value) for p in metrics.capacity_series] == [
             (0.0, 0.0),
             (1.0, 1.0),
         ]
-        assert collector.capacity_fractional_series[-1].value == 1.0
-        assert collector.supplier_count_series[-1].value == 2.0
+        assert metrics.capacity_fractional_series[-1].value == 1.0
+        assert metrics.supplier_count_series[-1].value == 2.0
 
     def test_rate_sampling_skips_classes_without_requests(self, collector):
         collector.on_first_request(1)
         collector.sample_rates(7200.0)
-        assert len(collector.admission_rate_series[1]) == 1
-        assert collector.admission_rate_series[2] == []
-        assert collector.overall_admission_rate_series[0].value == 0.0
+        metrics = view(collector)
+        assert len(metrics.admission_rate_series[1]) == 1
+        assert metrics.admission_rate_series[2] == []
+        assert metrics.overall_admission_rate_series[0].value == 0.0
 
     def test_rate_values_are_percentages(self, collector):
         for _ in range(4):
             collector.on_first_request(1)
         collector.on_admission(1, 0, 2, 2, 0.0)
         collector.sample_rates(3600.0)
-        assert collector.admission_rate_series[1][-1].value == 25.0
+        assert view(collector).admission_rate_series[1][-1].value == 25.0
 
     def test_favored_sampling_averages_per_class(self, collector):
         collector.sample_favored(10800.0, {1: [1, 2, 3], 2: [], 3: [4]})
-        assert collector.favored_series[1][0].value == 2.0
-        assert collector.favored_series[3][0].value == 4.0
-        assert collector.favored_series[2] == []  # no suppliers -> no sample
+        metrics = view(collector)
+        assert metrics.favored_series[1][0].value == 2.0
+        assert metrics.favored_series[3][0].value == 4.0
+        assert metrics.favored_series[2] == []  # no suppliers -> no sample
 
 
 class TestExport:
@@ -97,4 +107,4 @@ class TestExport:
         assert dump["admission_rate_series"][1] == [(1.0, 100.0)]
 
     def test_final_capacity_empty_series(self, collector):
-        assert collector.final_capacity() == 0.0
+        assert view(collector).final_capacity() == 0.0

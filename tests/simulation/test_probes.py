@@ -8,8 +8,9 @@ from repro.core.capacity import CapacityLedger
 from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import Metrics
 from repro.simulation.probes import (
+    CONTINUITY_COUNTER_ZEROS,
     DEFAULT_PROBES,
     PROBE_NAMES,
     MetricsPipeline,
@@ -52,35 +53,41 @@ class TestUnsubscribedDefaults:
     """Unsubscribed probes read as empty series / NaN means, never KeyError."""
 
     def test_series_read_empty(self, ladder):
-        pipeline = MetricsPipeline(ladder, probes=("table1",))
-        assert pipeline.capacity_series == []
-        assert pipeline.favored_series == {c: [] for c in ladder.classes}
-        assert pipeline.final_capacity() == 0.0
+        metrics = Metrics(MetricsPipeline(ladder, probes=("table1",)).to_dict())
+        assert metrics.capacity_series == []
+        assert metrics.favored_series == {c: [] for c in ladder.classes}
+        assert metrics.continuity_series == []
+        assert metrics.final_capacity() == 0.0
 
     def test_means_read_nan(self, ladder):
         pipeline = MetricsPipeline(ladder, probes=("capacity",))
         pipeline.on_first_request(1)
         pipeline.on_admission(1, 2, 4, 4, 60.0)
-        assert all(math.isnan(v) for v in pipeline.mean_waiting_seconds().values())
+        metrics = Metrics(pipeline.to_dict())
+        assert all(math.isnan(v) for v in metrics.mean_waiting_seconds().values())
         assert all(
             math.isnan(v)
-            for v in pipeline.mean_rejections_before_admission().values()
+            for v in metrics.mean_rejections_before_admission().values()
+        )
+        assert all(
+            math.isnan(v) for v in metrics.playback_continuity_index().values()
         )
         # admission rate derives from the always-on counters
-        assert pipeline.admission_rate_percent()[1] == 100.0
+        assert metrics.admission_rate_percent()[1] == 100.0
 
     def test_to_dict_key_set_is_subscription_independent(self, ladder):
-        full = MetricsCollector(ladder).to_dict()
+        full = MetricsPipeline(ladder).to_dict()
         subset = MetricsPipeline(ladder, probes=("capacity",)).to_dict()
         assert set(full) == set(subset)
+        assert list(full) == list(subset)
 
-    def test_unsubscribed_accumulators_read_zero(self, ladder):
-        pipeline = MetricsPipeline(ladder, probes=("capacity",))
-        pipeline.on_admission(1, 2, 4, 4, 60.0)
-        assert pipeline.waiting_seconds_sum == {c: 0.0 for c in ladder.classes}
-        assert pipeline.rejections_before_admission_sum == {
-            c: 0 for c in ladder.classes
-        }
+    def test_unsubscribed_continuity_counters_read_typed_zeros(self, ladder):
+        metrics = Metrics(MetricsPipeline(ladder).to_dict())
+        for name, zero in CONTINUITY_COUNTER_ZEROS.items():
+            counts = getattr(metrics, name)
+            assert counts == {c: 0 for c in ladder.classes}
+            assert all(type(value) is type(zero) for value in counts.values())
+        assert type(CONTINUITY_COUNTER_ZEROS["stall_seconds_sum"]) is float
 
 
 class TestDispatch:
@@ -88,10 +95,11 @@ class TestDispatch:
         pipeline = MetricsPipeline(ladder, probes=("waiting", "table1"))
         pipeline.on_first_request(2)
         pipeline.on_admission(2, 3, 4, 4, 1800.0)
-        assert pipeline.mean_waiting_seconds()[2] == 1800.0
-        assert pipeline.mean_rejections_before_admission()[2] == 3.0
+        metrics = Metrics(pipeline.to_dict())
+        assert metrics.mean_waiting_seconds()[2] == 1800.0
+        assert metrics.mean_rejections_before_admission()[2] == 3.0
         assert all(
-            math.isnan(v) for v in pipeline.mean_buffering_delay_slots().values()
+            math.isnan(v) for v in metrics.mean_buffering_delay_slots().values()
         )
 
     def test_capacity_probe_samples_ledger(self, ladder):
@@ -99,11 +107,12 @@ class TestDispatch:
         ledger = CapacityLedger(ladder)
         ledger.add_supplier(1)
         pipeline.sample_capacity(3600.0, ledger)
-        assert [(p.hour, p.value) for p in pipeline.capacity_series] == [(1.0, 0.0)]
-        assert pipeline.supplier_count_series[-1].value == 1.0
+        metrics = Metrics(pipeline.to_dict())
+        assert [(p.hour, p.value) for p in metrics.capacity_series] == [(1.0, 0.0)]
+        assert metrics.supplier_count_series[-1].value == 1.0
 
     def test_full_pipeline_matches_monolithic_collector_shape(self, ladder):
-        collector = MetricsCollector(ladder)
+        collector = MetricsPipeline(ladder)
         collector.on_first_request(1)
         collector.on_retry(1)
         collector.on_rejection(1)
