@@ -4,8 +4,6 @@ Validates a benchmark export against its schema so the CI perf-smoke
 job (and users) can trust the export contracts stay stable.  The file's
 ``schema`` tag selects the validator:
 
-* ``repro.bench_kernel_scaling.v1`` — ``bench_kernel_scaling.py``:
-  per-run throughput fields and per-scale speedup summaries;
 * ``repro.bench_engine_scaling.v1`` — ``bench_engine_scaling.py``:
   per-engine setup/run timing splits, array-vs-object speedups and the
   megacity end-to-end record.
@@ -24,26 +22,7 @@ from repro.devtools.reporting import Finding, report
 
 __all__ = ["SchemaProblem", "check_file", "main"]
 
-KERNEL_SCHEMA = "repro.bench_kernel_scaling.v1"
 ENGINE_SCHEMA = "repro.bench_engine_scaling.v1"
-
-KERNEL_RUN_FIELDS = {
-    "scale": (int, float),
-    "peers": int,
-    "mode": str,
-    "engine": str,
-    "kernel": str,
-    "events": int,
-    "wall_seconds": (int, float),
-    "events_per_sec": (int, float),
-}
-KERNEL_SPEEDUP_FIELDS = {
-    "scale": (int, float),
-    "peers": int,
-    "fast_kernel": str,
-    "events_per_sec": (int, float),
-    "speedup_vs_full_heap": (int, float),
-}
 
 ENGINE_RUN_FIELDS = {
     "scale": (int, float),
@@ -112,29 +91,6 @@ def _check_common_header(data: dict) -> list:
     return runs
 
 
-def _check_kernel_scaling(data: dict) -> str:
-    runs = _check_common_header(data)
-    for index, run in enumerate(runs):
-        _check_fields(f"runs[{index}]", run, KERNEL_RUN_FIELDS)
-        if run["events_per_sec"] <= 0 or run["wall_seconds"] <= 0:
-            _fail(f"runs[{index}] has non-positive throughput")
-        probes = run.get("probes")
-        if probes is not None and not isinstance(probes, list):
-            _fail(f"runs[{index}].probes must be null or a list")
-    speedups = data.get("speedups")
-    if not isinstance(speedups, list) or not speedups:
-        _fail("speedups must be a non-empty list")
-    for index, entry in enumerate(speedups):
-        _check_fields(f"speedups[{index}]", entry, KERNEL_SPEEDUP_FIELDS)
-        vs_pre = entry.get("speedup_vs_pre_refactor")
-        if vs_pre is not None and (
-            isinstance(vs_pre, bool) or not isinstance(vs_pre, (int, float))
-        ):
-            _fail(f"speedups[{index}].speedup_vs_pre_refactor must be "
-                  "null or numeric")
-    return f"{len(runs)} runs, {len(speedups)} speedup summaries"
-
-
 def _check_engine_scaling(data: dict) -> str:
     runs = _check_common_header(data)
     for index, run in enumerate(runs):
@@ -161,7 +117,6 @@ def _check_engine_scaling(data: dict) -> str:
 
 
 _CHECKERS = {
-    KERNEL_SCHEMA: _check_kernel_scaling,
     ENGINE_SCHEMA: _check_engine_scaling,
 }
 

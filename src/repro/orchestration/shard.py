@@ -11,7 +11,8 @@ and merging are first-class.  This module supplies the three pieces:
   contender can win, and an expired lease is reclaimable through an
   equally atomic eviction, so a SIGKILLed worker's specs are re-executed
   after its leases lapse — never lost, and (while a lease is live) never
-  executed twice.
+  executed twice.  A claim only ever holds a lease: completion lives in
+  the store, and the holder deletes its claim once the record is stored.
 * :func:`shard_run` — claim-and-execute a slice of a study against a
   shared or per-host store, surviving worker death through the
   fault-tolerant :func:`~repro.orchestration.batch.run_batch`.
@@ -24,14 +25,21 @@ and merging are first-class.  This module supplies the three pieces:
 Crash-safety invariants (the contract the fault-injection suite under
 ``tests/orchestration/`` pins):
 
-1. **At-most-once while leased**: a spec with a live claim is executed
+1. **The store is the only completion marker**: a spec is done iff its
+   record is in the store.  A worker stores the record *before* it
+   deletes its claim, and re-reads the store after winning a claim, so
+   a spec stored by another worker between the first store read and
+   the claim is never executed again.  Clearing the store (or a version
+   bump that makes its records misses) makes every spec runnable again;
+   no claim file can outlive its record and strand a spec.
+2. **At-most-once while leased**: a spec with a live claim is executed
    by exactly one worker — claim acquisition is an atomic filesystem
    create, and eviction of an expired claim is an atomic rename only one
    evictor can win.
-2. **At-least-once eventually**: a crashed worker's leases expire, after
+3. **At-least-once eventually**: a crashed worker's leases expire, after
    which any worker (or a ``Study.run(resume=True)``) reclaims and
    re-executes its specs.
-3. **Exactly-once in the merged result**: re-execution is harmless
+4. **Exactly-once in the merged result**: re-execution is harmless
    because records are deterministic — the store keyed by spec hash
    deduplicates, and :func:`merge_stores` verifies payload agreement on
    every overlap, so a 2-shard run merges to a result set bit-identical
@@ -45,7 +53,7 @@ import os
 import socket
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ClaimError, StoreMergeError
@@ -66,8 +74,10 @@ __all__ = [
     "store_status",
 ]
 
-#: bump when the on-disk claim layout changes incompatibly
-CLAIM_SCHEMA = 1
+#: bump when the on-disk claim layout changes incompatibly (2: claims
+#: are leases only; schema-1 ``completed`` markers read as unreadable
+#: and are evicted by the next claim attempt)
+CLAIM_SCHEMA = 2
 
 #: bounded retry of the claim/evict race before giving up on a hash
 _MAX_CLAIM_ATTEMPTS = 8
@@ -80,17 +90,16 @@ def default_owner() -> str:
 
 @dataclass(frozen=True)
 class Claim:
-    """One worker's recorded hold (or completion marker) on a spec hash."""
+    """One worker's leased hold on a spec hash."""
 
     spec_hash: str
     owner: str
-    state: str  # "claimed" | "completed"
     deadline: float
     claimed_at: float
 
     def expired(self, now: float) -> bool:
-        """True when the lease has lapsed (completed claims never expire)."""
-        return self.state == "claimed" and now >= self.deadline
+        """True when the lease has lapsed."""
+        return now >= self.deadline
 
     def to_dict(self) -> dict:
         """JSON-ready claim payload."""
@@ -98,7 +107,6 @@ class Claim:
             "claim_schema": CLAIM_SCHEMA,
             "spec_hash": self.spec_hash,
             "owner": self.owner,
-            "state": self.state,
             "deadline": self.deadline,
             "claimed_at": self.claimed_at,
         }
@@ -109,7 +117,6 @@ class Claim:
         return cls(
             spec_hash=str(data["spec_hash"]),
             owner=str(data["owner"]),
-            state=str(data["state"]),
             deadline=float(data["deadline"]),
             claimed_at=float(data["claimed_at"]),
         )
@@ -188,18 +195,19 @@ class ClaimRegistry:
             return None
 
     def holder(self, spec_hash: str) -> str | None:
-        """Owner of the live (unexpired, uncompleted) claim, if any."""
+        """Owner of the live (unexpired) claim, if any."""
         claim = self.get(spec_hash)
-        if claim is None or claim.state != "claimed":
+        if claim is None or claim.expired(self.clock()):
             return None
-        return None if claim.expired(self.clock()) else claim.owner
+        return claim.owner
 
     def spec_hashes(self) -> list[str]:
         """Spec hashes of every claim file, sorted."""
         return sorted(path.stem for path in self.root.glob("*.json"))
 
     # ------------------------------------------------------------------
-    # the claim state machine: claim -> (renew | expire -> reclaim) -> complete
+    # the claim state machine:
+    # claim -> (renew | expire -> evict -> reclaim) -> delete
     # ------------------------------------------------------------------
     def try_claim(self, spec_hash: str) -> bool:
         """Atomically acquire ``spec_hash``; False when someone holds it.
@@ -207,8 +215,9 @@ class ClaimRegistry:
         Acquisition succeeds when no claim file exists, when the
         caller already holds a live claim (the lease is renewed), or
         when the recorded lease has expired and this caller wins the
-        eviction race.  A ``completed`` marker is permanent: the spec's
-        record is in the store, so claiming it again is always refused.
+        eviction race.  Claiming says nothing about whether the spec is
+        done — that is the store's call, so callers check it (again)
+        after winning.
         """
         path = self.path_for(spec_hash)
         for _ in range(_MAX_CLAIM_ATTEMPTS):
@@ -220,11 +229,9 @@ class ClaimRegistry:
                     # unreadable/corrupt claim file: treat like an
                     # expired lease and evict before racing again
                     self._evict(path)
-                # otherwise the holder vanished (released/evicted)
+                # otherwise the holder vanished (completed/evicted)
                 # between our create and read; race again either way
                 continue
-            if claim.state == "completed":
-                return False
             now = self.clock()
             if claim.owner == self.owner and not claim.expired(now):
                 self.renew(spec_hash)
@@ -247,55 +254,29 @@ class ClaimRegistry:
         self._write(
             self.path_for(spec_hash),
             Claim(
-                spec_hash=spec_hash, owner=self.owner, state=claim.state,
+                spec_hash=spec_hash, owner=self.owner,
                 deadline=self.clock() + self.lease_seconds,
                 claimed_at=claim.claimed_at,
             ),
         )
 
     def complete(self, spec_hash: str) -> bool:
-        """Mark the spec completed; True when this caller's marker landed.
+        """Delete the caller's claim; False when there is none to delete.
 
-        Safe after lease expiry: if another worker has meanwhile
-        reclaimed the spec (live foreign claim), the marker is *not*
-        written — that worker will complete it, and the records agree
-        byte-for-byte because runs are deterministic.
+        The one way a claim ends, called once the spec's record is in
+        the store.  Safe after lease expiry: if another worker has
+        meanwhile reclaimed the spec, its claim is left alone — that
+        worker finds the record on its post-claim store read, or
+        recomputes a byte-identical one because runs are deterministic.
         """
         claim = self.get(spec_hash)
-        now = self.clock()
-        if (
-            claim is not None
-            and claim.state == "claimed"
-            and claim.owner != self.owner
-            and not claim.expired(now)
-        ):
+        if claim is not None and claim.owner != self.owner:
             return False
-        if claim is not None and claim.state == "completed":
-            return False
-        self._write(
-            self.path_for(spec_hash),
-            Claim(
-                spec_hash=spec_hash, owner=self.owner, state="completed",
-                deadline=now,
-                claimed_at=claim.claimed_at if claim else now,
-            ),
-        )
-        return True
-
-    def release(self, spec_hash: str) -> None:
-        """Drop the caller's claim without completing it (graceful abandon)."""
-        claim = self.get(spec_hash)
-        if claim is None:
-            return
-        if claim.owner != self.owner:
-            raise ClaimError(
-                f"{self.owner!r} cannot release {spec_hash[:12]}…: held by "
-                f"{claim.owner!r}"
-            )
         try:
             self.path_for(spec_hash).unlink()
         except FileNotFoundError:
-            pass
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # atomic filesystem primitives
@@ -307,7 +288,7 @@ class ClaimRegistry:
         tmp.write_text(
             json.dumps(
                 Claim(
-                    spec_hash=spec_hash, owner=self.owner, state="claimed",
+                    spec_hash=spec_hash, owner=self.owner,
                     deadline=now + self.lease_seconds, claimed_at=now,
                 ).to_dict(),
                 sort_keys=True,
@@ -350,11 +331,10 @@ class ShardReport:
 
     owner: str
     total: int  # specs in this worker's slice
-    executed: int  # claimed, simulated and completed by this worker
-    cached: int  # already in the store; skipped
+    executed: int  # claimed, simulated and stored by this worker
+    cached: int  # in the store before or right after the claim; skipped
     claimed_elsewhere: int  # live foreign lease; skipped
     reclaimed: int  # of the executed, how many took over an expired lease
-    executed_hashes: tuple[str, ...] = field(default=(), repr=False)
 
     def summary(self) -> str:
         """One-line human-readable report."""
@@ -397,13 +377,16 @@ def shard_run(
     The worker walks its round-robin slice (``slice_index`` of
     ``slice_count``) of the study's spec list in claim waves of at most
     ``claim_batch`` specs (default: the whole slice at once): cached
-    specs are marked completed and skipped, specs with a live foreign
-    lease are skipped, and everything else is claimed, executed through
-    the fault-tolerant :func:`~repro.orchestration.batch.run_batch`,
-    stored, and completed.  ``lease_seconds`` must comfortably exceed
-    one wave's runtime (claims are only acquired at the start of the
-    wave that executes them, so smaller ``claim_batch`` values tolerate
-    shorter leases).  When
+    specs are skipped without touching their claims, specs with a live
+    foreign lease are skipped, and everything else is claimed.  A won
+    claim re-reads the store — another worker may have stored the spec
+    since the first read — and a hit drops the claim and counts as
+    cached.  The rest are executed through the fault-tolerant
+    :func:`~repro.orchestration.batch.run_batch`, stored, and their
+    claims deleted.  Leases are never renewed mid-wave, so
+    ``lease_seconds`` must comfortably exceed one wave's runtime (claims
+    are only acquired at the start of the wave that executes them, so
+    smaller ``claim_batch`` values tolerate shorter leases).  When
     ``executed_log`` is given, one ``owner spec_hash`` line is appended
     per executed spec — the audit trail the claim-contention tests
     assert exactly-once execution on.
@@ -416,7 +399,6 @@ def shard_run(
     sliced = _slice_specs(study.specs(), slice_index, slice_count)
     pending = list(sliced)
     executed = cached = elsewhere = reclaimed = 0
-    executed_hashes: list[str] = []
     while pending:
         wave, pending = (
             (pending, [])
@@ -426,18 +408,18 @@ def shard_run(
         mine = []
         for spec in wave:
             if store.get(spec.spec_hash) is not None:
-                claims.complete(spec.spec_hash)
                 cached += 1
                 continue
-            was_expired = (
-                claims.get(spec.spec_hash) is not None
-                and claims.holder(spec.spec_hash) is None
-            )
-            if claims.try_claim(spec.spec_hash):
+            claim = claims.get(spec.spec_hash)
+            was_expired = claim is not None and claim.expired(clock())
+            if not claims.try_claim(spec.spec_hash):
+                elsewhere += 1
+            elif store.get(spec.spec_hash) is not None:
+                claims.complete(spec.spec_hash)
+                cached += 1
+            else:
                 mine.append(spec)
                 reclaimed += int(was_expired)
-            else:
-                elsewhere += 1
         if not mine:
             continue
         results = run_batch(
@@ -450,7 +432,6 @@ def shard_run(
             store.put(record)
             claims.complete(spec.spec_hash)
             executed += 1
-            executed_hashes.append(spec.spec_hash)
             if executed_log is not None:
                 _append_log(executed_log, claims.owner, spec.spec_hash)
     return ShardReport(
@@ -460,7 +441,6 @@ def shard_run(
         cached=cached,
         claimed_elsewhere=elsewhere,
         reclaimed=reclaimed,
-        executed_hashes=tuple(executed_hashes),
     )
 
 
@@ -592,7 +572,7 @@ def store_status(
         if spec_hash in done_hashes:
             continue
         claim = claims.get(spec_hash)
-        if claim is None or claim.state != "claimed":
+        if claim is None:
             continue
         if claim.expired(now):
             orphaned += 1

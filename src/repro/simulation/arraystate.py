@@ -44,6 +44,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.simulation.arrivals import (
+    PATTERN3_BURST_FRACTION,
+    PATTERN3_BURST_SHARE,
+    PATTERN4_BURST_DURATION_FRACTION,
+    PATTERN4_BURST_TOTAL_FRACTION,
+    PATTERN4_NUM_BURSTS,
+)
 
 __all__ = [
     "PeerArrays",
@@ -211,15 +218,14 @@ VECTORIZABLE_PATTERNS: tuple[int, ...] = (1, 3, 4)
 
 
 def _cumulative_uniform(t: np.ndarray, window: float) -> np.ndarray:
-    # pattern 1: UniformArrivals.cumulative_fraction
+    # pattern 1: arrivals._constant_pattern's cumulative
     return np.minimum(np.maximum(t / window, 0.0), 1.0)
 
 
 def _cumulative_front_loaded(t: np.ndarray, window: float) -> np.ndarray:
-    # pattern 3: FrontLoadedArrivals.cumulative_fraction
-    burst_fraction = 0.40
-    burst_share = 1.0 / 12.0
-    burst_end = window * burst_share
+    # pattern 3: arrivals._burst_then_constant_pattern's cumulative
+    burst_fraction = PATTERN3_BURST_FRACTION
+    burst_end = window * PATTERN3_BURST_SHARE
     burst_rate = burst_fraction / burst_end
     tail_rate = (1.0 - burst_fraction) / (window - burst_end)
     inside = np.where(
@@ -231,12 +237,11 @@ def _cumulative_front_loaded(t: np.ndarray, window: float) -> np.ndarray:
 
 
 def _cumulative_bursty(t: np.ndarray, window: float) -> np.ndarray:
-    # pattern 4: BurstyArrivals.cumulative_fraction — same op order as the
-    # scalar code so every intermediate rounds identically
-    num_bursts = 6
-    burst_duration_fraction = 1.0 / 36.0
-    burst_total_fraction = 0.60
-    burst_len = window * burst_duration_fraction
+    # pattern 4: arrivals._periodic_bursts_pattern's cumulative — same op
+    # order as the scalar code so every intermediate rounds identically
+    num_bursts = PATTERN4_NUM_BURSTS
+    burst_total_fraction = PATTERN4_BURST_TOTAL_FRACTION
+    burst_len = window * PATTERN4_BURST_DURATION_FRACTION
     spacing = window / num_bursts
     floor_rate = (1.0 - burst_total_fraction) / window
     burst_rate = burst_total_fraction / (num_bursts * burst_len)

@@ -26,7 +26,6 @@ Both modes produce exactly ``n`` arrivals inside the window.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -47,6 +46,17 @@ PATTERN_DESCRIPTIONS = {
     3: "initial burst then lower constant arrivals",
     4: "periodic bursts over a low constant floor",
 }
+
+#: pattern 3: share of all arrivals inside the opening burst
+PATTERN3_BURST_FRACTION = 0.40
+#: pattern 3: length of the opening burst as a share of the window
+PATTERN3_BURST_SHARE = 1.0 / 12.0
+#: pattern 4: evenly spaced bursts per window
+PATTERN4_NUM_BURSTS = 6
+#: pattern 4: length of each burst as a share of the window
+PATTERN4_BURST_DURATION_FRACTION = 1.0 / 36.0
+#: pattern 4: share of all arrivals carried by the bursts
+PATTERN4_BURST_TOTAL_FRACTION = 0.60
 
 
 @dataclass(frozen=True)
@@ -172,12 +182,11 @@ def _triangle_pattern(window: float) -> ArrivalPattern:
     return ArrivalPattern(2, window, density, cumulative, peak, deterministic_times)
 
 
-def _burst_then_constant_pattern(
-    window: float, burst_fraction: float = 0.40, burst_share: float = 1.0 / 12.0
-) -> ArrivalPattern:
-    """Pattern 3: ``burst_fraction`` of arrivals inside the first
-    ``burst_share`` of the window, the rest constant after it."""
-    burst_end = window * burst_share
+def _burst_then_constant_pattern(window: float) -> ArrivalPattern:
+    """Pattern 3: ``PATTERN3_BURST_FRACTION`` of arrivals inside the first
+    ``PATTERN3_BURST_SHARE`` of the window, the rest constant after it."""
+    burst_fraction = PATTERN3_BURST_FRACTION
+    burst_end = window * PATTERN3_BURST_SHARE
     burst_rate = burst_fraction / burst_end
     tail_rate = (1.0 - burst_fraction) / (window - burst_end)
 
@@ -221,22 +230,18 @@ def _burst_then_constant_pattern(
     return ArrivalPattern(3, window, density, cumulative, burst_rate, deterministic_times)
 
 
-def _periodic_bursts_pattern(
-    window: float,
-    num_bursts: int = 6,
-    burst_duration_fraction: float = 1.0 / 36.0,
-    burst_total_fraction: float = 0.60,
-) -> ArrivalPattern:
-    """Pattern 4: ``num_bursts`` evenly spaced bursts over a constant floor.
+def _periodic_bursts_pattern(window: float) -> ArrivalPattern:
+    """Pattern 4: ``PATTERN4_NUM_BURSTS`` evenly spaced bursts over a
+    constant floor.
 
-    With the 72-hour paper window the defaults give 2-hour bursts starting
+    With the 72-hour paper window the constants give 2-hour bursts starting
     every 12 hours (t = 0, 12, …, 60 h) carrying 60 % of all arrivals, and a
     constant floor carrying the remaining 40 %.
     """
-    burst_len = window * burst_duration_fraction
+    num_bursts = PATTERN4_NUM_BURSTS
+    burst_total_fraction = PATTERN4_BURST_TOTAL_FRACTION
+    burst_len = window * PATTERN4_BURST_DURATION_FRACTION
     spacing = window / num_bursts
-    if burst_len >= spacing:
-        raise ConfigurationError("bursts overlap; reduce duration or count")
     floor_rate = (1.0 - burst_total_fraction) / window
     burst_rate = burst_total_fraction / (num_bursts * burst_len)
     burst_starts = [k * spacing for k in range(num_bursts)]

@@ -99,7 +99,7 @@ class TestNoWallclock:
         scope = NoWallclock().scope
         assert scope.applies("src/repro/simulation/runner.py")
         assert scope.applies("src/repro/protocols/dac.py")
-        assert not scope.applies("benchmarks/bench_kernel_scaling.py")
+        assert not scope.applies("benchmarks/bench_engine_scaling.py")
         assert not scope.applies("src/repro/cli.py")
 
 

@@ -4,20 +4,29 @@ import json
 
 from repro.devtools import benchcheck, studycheck
 
-KERNEL_EXPORT = {
-    "schema": "repro.bench_kernel_scaling.v1",
+ENGINE_EXPORT = {
+    "schema": "repro.bench_engine_scaling.v1",
     "version": "1.0",
+    "quick": True,
     "scenario": "metropolis_100k",
+    "python": "3.11.0",
+    "machine": "x86_64",
     "runs": [{
-        "scale": 0.1, "peers": 10000, "mode": "fast", "engine": "object",
-        "kernel": "calendar", "events": 1000, "wall_seconds": 1.0,
-        "events_per_sec": 1000.0, "probes": ["capacity"],
+        "scale": 0.1, "peers": 10000, "scenario": "metropolis_100k",
+        "engine": "object", "events": 1000, "setup_seconds": 0.2,
+        "run_seconds": 1.0, "wall_seconds": 1.2, "events_per_sec": 1000.0,
     }],
     "speedups": [{
-        "scale": 0.1, "peers": 10000, "fast_kernel": "calendar",
-        "events_per_sec": 1000.0, "speedup_vs_full_heap": 2.0,
-        "speedup_vs_pre_refactor": None,
+        "scale": 0.1, "peers": 10000, "events_per_sec_object": 1000.0,
+        "events_per_sec_array": 3000.0, "speedup_array_vs_object": 3.0,
+        "speedup_total_wall": 2.5,
     }],
+    "megacity": {
+        "scenario": "megacity_1m", "scale": 0.01, "peers": 10000,
+        "engine": "array", "completed": True, "events": 5000,
+        "setup_seconds": 0.5, "run_seconds": 2.0, "wall_seconds": 2.5,
+        "events_per_sec": 2500.0,
+    },
 }
 
 STUDY_EXPORT = {
@@ -47,23 +56,36 @@ def write_json(tmp_path, payload):
 
 
 class TestBenchCheck:
-    def test_valid_kernel_export_passes(self, tmp_path):
+    def test_valid_engine_export_passes(self, tmp_path):
         findings, summary = benchcheck.check_file(
-            write_json(tmp_path, KERNEL_EXPORT)
+            write_json(tmp_path, ENGINE_EXPORT)
         )
         assert findings == []
         assert "1 runs" in summary
+        assert "megacity at scale 0.01" in summary
 
     def test_unknown_schema_is_a_finding(self, tmp_path):
-        payload = dict(KERNEL_EXPORT, schema="repro.other.v9")
+        payload = dict(ENGINE_EXPORT, schema="repro.other.v9")
         findings, _ = benchcheck.check_file(write_json(tmp_path, payload))
         assert findings and findings[0].rule == "bench-schema"
 
     def test_missing_run_field_is_a_finding(self, tmp_path):
-        payload = json.loads(json.dumps(KERNEL_EXPORT))
+        payload = json.loads(json.dumps(ENGINE_EXPORT))
         del payload["runs"][0]["events_per_sec"]
         findings, _ = benchcheck.check_file(write_json(tmp_path, payload))
         assert any("events_per_sec" in f.message for f in findings)
+
+    def test_incomplete_megacity_is_a_finding(self, tmp_path):
+        payload = json.loads(json.dumps(ENGINE_EXPORT))
+        payload["megacity"]["completed"] = False
+        findings, _ = benchcheck.check_file(write_json(tmp_path, payload))
+        assert any("did not complete" in f.message for f in findings)
+
+    def test_unknown_engine_is_a_finding(self, tmp_path):
+        payload = json.loads(json.dumps(ENGINE_EXPORT))
+        payload["runs"][0]["engine"] = "heap"
+        findings, _ = benchcheck.check_file(write_json(tmp_path, payload))
+        assert any("'heap'" in f.message for f in findings)
 
     def test_invalid_json_is_a_finding(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -78,7 +100,7 @@ class TestBenchCheck:
     def test_main_reports_through_the_shared_conventions(
         self, tmp_path, capsys
     ):
-        path = write_json(tmp_path, KERNEL_EXPORT)
+        path = write_json(tmp_path, ENGINE_EXPORT)
         assert benchcheck.main(["check_bench_json.py", str(path)]) == 0
         assert "check_bench_json: ok" in capsys.readouterr().out
 

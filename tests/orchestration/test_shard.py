@@ -7,6 +7,7 @@ failure labeling.
 """
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -101,22 +102,37 @@ class TestClaimStateMachine:
         alice, bob, clock = registry_pair
         assert alice.try_claim(HASH)
         assert alice.complete(HASH)
-        assert alice.get(HASH).state == "completed"
-        clock.advance(100.0)  # completed markers never expire
-        assert not bob.try_claim(HASH)
-        assert not alice.try_claim(HASH)
+        # Completion ends the claim's life: there is nothing left to
+        # renew or complete, and no clock advance brings it back.
+        with pytest.raises(ClaimError):
+            alice.renew(HASH)
+        assert not alice.complete(HASH)
+        clock.advance(100.0)
+        assert alice.get(HASH) is None
         assert bob.holder(HASH) is None
+
+    def test_release_drops_the_claim(self, registry_pair):
+        alice, bob, _ = registry_pair
+        assert alice.try_claim(HASH)  # still well inside the lease
+        assert alice.complete(HASH)
+        # No completion marker: the claim file is gone, and whether the
+        # spec is done is the store's call alone.
+        assert not alice.path_for(HASH).exists()
+        assert alice.get(HASH) is None
+        assert bob.holder(HASH) is None
+        assert bob.try_claim(HASH)
 
     def test_full_cycle_claim_expire_reclaim_complete(self, registry_pair):
         alice, bob, clock = registry_pair
         assert alice.try_claim(HASH)  # claim
         clock.advance(11.0)  # expire
         assert bob.try_claim(HASH)  # reclaim
-        assert bob.complete(HASH)  # complete
-        # The original owner's late completion attempt is refused: the
-        # marker already records bob's completion.
+        assert bob.complete(HASH)  # delete
+        assert not bob.path_for(HASH).exists()
+        # The original owner's late completion finds nothing to delete,
+        # and the hash is claimable again.
         assert not alice.complete(HASH)
-        assert alice.get(HASH).owner == "bob"
+        assert alice.try_claim(HASH)
 
     def test_late_complete_defers_to_live_reclaimer(self, registry_pair):
         alice, bob, clock = registry_pair
@@ -134,17 +150,13 @@ class TestClaimStateMachine:
         with pytest.raises(ClaimError):
             bob.renew(HASH)
 
-    def test_release_drops_the_claim(self, registry_pair):
+    def test_complete_requires_ownership(self, registry_pair):
         alice, bob, _ = registry_pair
-        assert alice.try_claim(HASH)
-        alice.release(HASH)
         assert bob.try_claim(HASH)
-
-    def test_release_requires_ownership(self, registry_pair):
-        alice, bob, _ = registry_pair
-        assert alice.try_claim(HASH)
-        with pytest.raises(ClaimError):
-            bob.release(HASH)
+        before = bob.get(HASH)
+        assert not alice.complete(HASH)
+        assert bob.holder(HASH) == "bob"
+        assert bob.get(HASH) == before
 
     def test_corrupt_claim_reads_as_unclaimed(self, registry_pair):
         alice, bob, _ = registry_pair
@@ -265,6 +277,96 @@ class TestShardMergeCollect:
             small_study().collect(store)
         partial = small_study().collect(store, allow_missing=True)
         assert len(partial) == 2
+
+    def test_full_run_leaves_no_claims(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        report = shard_run(small_study(), store, owner="w", claim_batch=1)
+        assert report.executed == 4
+        assert list(store.claims_root.iterdir()) == []
+
+    def test_cached_specs_write_no_claims(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        small_study().run(store=store)
+        report = shard_run(small_study(), store, owner="w")
+        assert report.cached == 4 and report.executed == 0
+        assert list(store.claims_root.iterdir()) == []
+
+    def test_cleared_store_re_executes_every_spec(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        oracle = [r.fingerprint() for r in small_study().run()]
+        assert shard_run(small_study(), store, owner="w").executed == 4
+        store.clear()
+        report = shard_run(small_study(), store, owner="w")
+        assert (report.executed, report.cached, report.claimed_elsewhere) \
+            == (4, 0, 0)
+        store.clear()
+        resumed = small_study().run(store=store, resume=True)
+        assert [r.fingerprint() for r in resumed] == oracle
+
+    def test_other_version_records_are_re_executed(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        shard_run(small_study(), store, owner="w")
+        for spec_hash in store.spec_hashes():
+            path = store.path_for(spec_hash)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["record"]["version"] = "0.0.0-other"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert all(
+            store.get(spec.spec_hash) is None
+            for spec in small_study().specs()
+        )
+        report = shard_run(small_study(), store, owner="w")
+        assert report.executed == 4 and report.cached == 0
+
+    def test_schema_1_completed_markers_do_not_strand_specs(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        claims = ClaimRegistry.for_store(store, owner="old")
+        for spec in small_study().specs():
+            claims.path_for(spec.spec_hash).write_text(json.dumps({
+                "claim_schema": 1, "spec_hash": spec.spec_hash,
+                "owner": "old", "state": "completed",
+                "deadline": 0.0, "claimed_at": 0.0,
+            }), encoding="utf-8")
+        status = store_status(store, small_study())
+        assert (status.claimed, status.orphaned, status.pending) == (0, 0, 4)
+        report = shard_run(small_study(), store, owner="w")
+        assert report.executed == 4
+        assert list(store.claims_root.iterdir()) == []
+
+    def test_record_stored_before_the_claim_is_not_re_executed(
+        self, tmp_path, monkeypatch
+    ):
+        """A spec stored between the first store read and the claim.
+
+        The post-claim store read must see it: the spec counts as
+        cached, is not executed, and its claim is dropped again.
+        """
+        store = ResultStore(tmp_path / "store")
+        specs = small_study().specs()
+        racer = small_study().run()  # another worker's finished records
+        by_hash = {record.spec_hash: record for record in racer}
+        target = specs[0].spec_hash
+        original = ClaimRegistry.try_claim
+
+        def store_then_claim(self, spec_hash):
+            if spec_hash == target:
+                store.put(by_hash[spec_hash])
+            return original(self, spec_hash)
+
+        monkeypatch.setattr(ClaimRegistry, "try_claim", store_then_claim)
+        executed = []
+        original_run = batch.run_simulation
+
+        def counting(config):
+            executed.append(config.master_seed)
+            return original_run(config)
+
+        monkeypatch.setattr(batch, "run_simulation", counting)
+        report = shard_run(small_study(), store, owner="w")
+        assert (report.executed, report.cached) == (3, 1)
+        assert specs[0].config.master_seed not in executed
+        assert len(executed) == 3
+        assert list(store.claims_root.iterdir()) == []
 
     def test_status_counts_all_states(self, tmp_path):
         clock = FakeClock()
